@@ -1801,21 +1801,31 @@ inline GrB_Info GxB_Context_stats(GrB_Context ctx, const char* name,
   });
 }
 
+namespace grb_detail {
+// The snprintf-style copy-out behind the text-returning GxB_* calls:
+// `buf` (may be NULL to query the size) is NUL-terminated when
+// *len > 0, and *len becomes the size the whole text needs, terminator
+// included.
+inline GrB_Info copy_out(const std::string& text, char* buf,
+                         GrB_Index* len) {
+  GrB_Index need = static_cast<GrB_Index>(text.size()) + 1;
+  if (buf != nullptr && *len > 0) {
+    GrB_Index n = *len - 1 < text.size() ? *len - 1 : text.size();
+    std::memcpy(buf, text.data(), n);
+    buf[n] = '\0';
+  }
+  *len = need;
+  return GrB_SUCCESS;
+}
+}  // namespace grb_detail
+
 // Writes the full counter dump as JSON into `buf` (snprintf semantics:
 // always NUL-terminated when *len > 0; on return *len is the required
 // size including the terminator).  `buf` may be NULL to query the size.
 inline GrB_Info GxB_Stats_json(char* buf, GrB_Index* len) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (len == nullptr) return GrB_NULL_POINTER;
-    std::string json = grb::obs::stats_json();
-    GrB_Index need = static_cast<GrB_Index>(json.size()) + 1;
-    if (buf != nullptr && *len > 0) {
-      GrB_Index n = *len - 1 < json.size() ? *len - 1 : json.size();
-      std::memcpy(buf, json.data(), n);
-      buf[n] = '\0';
-    }
-    *len = need;
-    return GrB_SUCCESS;
+    return grb_detail::copy_out(grb::obs::stats_json(), buf, len);
   });
 }
 
@@ -1830,33 +1840,18 @@ inline GrB_Info GxB_Stats_json(char* buf, GrB_Index* len) {
 inline GrB_Info GxB_Explain(const char* op, char* buf, GrB_Index* len) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (len == nullptr) return GrB_NULL_POINTER;
-    std::string text = grb::obs::decision_explain(op, 0);
-    GrB_Index need = static_cast<GrB_Index>(text.size()) + 1;
-    if (buf != nullptr && *len > 0) {
-      GrB_Index n = *len - 1 < text.size() ? *len - 1 : text.size();
-      std::memcpy(buf, text.data(), n);
-      buf[n] = '\0';
-    }
-    *len = need;
-    return GrB_SUCCESS;
+    return grb_detail::copy_out(grb::obs::decision_explain(op, 0), buf, len);
   });
 }
 
-// Writes the Prometheus text exposition (version 0.0.4) of the counters
-// — per-op call/error totals, latency quantile summaries, live/peak
-// memory gauges — into `buf` (same sizing protocol as GxB_Stats_json).
+// Writes the Prometheus text exposition (version 0.0.4) of every row of
+// the metric table — the GxB_Stats_get / GxB_Stats_json metrics as
+// labelled families — into `buf` (same sizing protocol as
+// GxB_Stats_json).
 inline GrB_Info GxB_Stats_prometheus(char* buf, GrB_Index* len) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (len == nullptr) return GrB_NULL_POINTER;
-    std::string text = grb::obs::stats_prometheus();
-    GrB_Index need = static_cast<GrB_Index>(text.size()) + 1;
-    if (buf != nullptr && *len > 0) {
-      GrB_Index n = *len - 1 < text.size() ? *len - 1 : text.size();
-      std::memcpy(buf, text.data(), n);
-      buf[n] = '\0';
-    }
-    *len = need;
-    return GrB_SUCCESS;
+    return grb_detail::copy_out(grb::obs::stats_prometheus(), buf, len);
   });
 }
 
@@ -1866,15 +1861,7 @@ inline GrB_Info GxB_Stats_prometheus(char* buf, GrB_Index* len) {
 inline GrB_Info GxB_Memory_report(char* buf, GrB_Index* len) {
   return grb_detail::guarded([&]() -> GrB_Info {
     if (len == nullptr) return GrB_NULL_POINTER;
-    std::string text = grb::obs::memory_report();
-    GrB_Index need = static_cast<GrB_Index>(text.size()) + 1;
-    if (buf != nullptr && *len > 0) {
-      GrB_Index n = *len - 1 < text.size() ? *len - 1 : text.size();
-      std::memcpy(buf, text.data(), n);
-      buf[n] = '\0';
-    }
-    *len = need;
-    return GrB_SUCCESS;
+    return grb_detail::copy_out(grb::obs::memory_report(), buf, len);
   });
 }
 

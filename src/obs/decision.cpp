@@ -40,16 +40,29 @@ constexpr uint64_t kRingCapacity = 256;
 Slot g_slots[kRingCapacity];
 std::atomic<uint64_t> g_head{0};
 
-struct SiteCounters {
-  std::atomic<uint64_t> records{0};
-  std::atomic<uint64_t> measured{0};
-  std::atomic<uint64_t> mispredicts{0};
-  // Sums in site-specific cost units, so mispredict *rates* and the
-  // aggregate predicted-vs-measured ratio survive ring wrap.
-  std::atomic<uint64_t> predicted_units{0};
-  std::atomic<uint64_t> measured_units{0};
+// Per-site aggregates.  The unit sums are in site-specific cost units,
+// so mispredict *rates* and the aggregate predicted-vs-measured ratio
+// survive ring wrap.
+enum SiteField : int {
+  kRecords, kMeasured, kMispredicts, kPredictedUnits, kMeasuredUnits,
+  kSiteFields
 };
-SiteCounters g_sites[kDecisionSiteCount];
+std::atomic<uint64_t> g_sites[kDecisionSiteCount][kSiteFields] = {};
+
+void site_add(DecisionSite site, SiteField f, uint64_t n) {
+  g_sites[static_cast<uint8_t>(site)][f].fetch_add(n,
+                                                   std::memory_order_relaxed);
+}
+template <SiteField F>
+uint64_t site_count(const DecisionSite& site) {
+  return g_sites[static_cast<uint8_t>(site)][F].load(
+      std::memory_order_relaxed);
+}
+uint64_t site_total(SiteField f) {
+  uint64_t n = 0;
+  for (const auto& site : g_sites) n += site[f].load(std::memory_order_relaxed);
+  return n;
+}
 
 constexpr const char* kSiteNames[kDecisionSiteCount] = {
     "exec_path",      "spgemm_accum",    "masked_dot",
@@ -130,10 +143,8 @@ DecisionTicket decision_record(DecisionSite site, const char* chosen,
   s.state.store(0, std::memory_order_relaxed);
   s.seq.store(seq_idx + 1, std::memory_order_release);
 
-  SiteCounters& c = g_sites[static_cast<uint8_t>(site)];
-  c.records.fetch_add(1, std::memory_order_relaxed);
-  c.predicted_units.fetch_add(cost_units(predicted_cost),
-                              std::memory_order_relaxed);
+  site_add(site, kRecords, 1);
+  site_add(site, kPredictedUnits, cost_units(predicted_cost));
   if (flight_enabled())
     fr_record(FrKind::kDecision, decision_site_name(site),
               static_cast<int32_t>(0), ctx);
@@ -150,10 +161,9 @@ void decision_measure(const DecisionTicket& ticket, uint64_t measured_units) {
   uint64_t ns = now_ns() - ticket.t0;
   bool mp = is_mispredict(ticket.predicted, measured_units);
 
-  SiteCounters& c = g_sites[static_cast<uint8_t>(ticket.site)];
-  c.measured.fetch_add(1, std::memory_order_relaxed);
-  c.measured_units.fetch_add(measured_units, std::memory_order_relaxed);
-  if (mp) c.mispredicts.fetch_add(1, std::memory_order_relaxed);
+  site_add(ticket.site, kMeasured, 1);
+  site_add(ticket.site, kMeasuredUnits, measured_units);
+  if (mp) site_add(ticket.site, kMispredicts, 1);
 
   // Best-effort ring fill-in: if the ring has lapped this slot the
   // aggregates above still count, only the rendered row lost its tail.
@@ -174,13 +184,8 @@ void decision_set_enabled(bool on) {
 }
 
 void decision_reset() {
-  for (SiteCounters& c : g_sites) {
-    c.records.store(0, std::memory_order_relaxed);
-    c.measured.store(0, std::memory_order_relaxed);
-    c.mispredicts.store(0, std::memory_order_relaxed);
-    c.predicted_units.store(0, std::memory_order_relaxed);
-    c.measured_units.store(0, std::memory_order_relaxed);
-  }
+  for (auto& site : g_sites)
+    for (auto& c : site) c.store(0, std::memory_order_relaxed);
   for (Slot& s : g_slots) s.seq.store(0, std::memory_order_release);
   g_head.store(0, std::memory_order_relaxed);
 }
@@ -202,6 +207,41 @@ int decision_snapshot(DecisionRecord* out, int max_records, const char* op,
   return n;
 }
 
+namespace {
+
+uint64_t ring_capacity(const Process&) { return kRingCapacity; }
+uint64_t ring_recorded(const Process&) {
+  return g_head.load(std::memory_order_relaxed);
+}
+
+constexpr auto kCounter = MetricKind::kCounter;
+
+const Metric<DecisionSite> kSiteMetrics[] = {
+    {"records", "grb_decision_records_total", "", kCounter,
+     "Adaptive cost-model decisions recorded per site.", &site_count<kRecords>},
+    {"measured", "grb_decision_measured_total", "", kCounter,
+     "Decisions completed with a post-execution measurement.",
+     &site_count<kMeasured>},
+    {"mispredicts", "grb_decision_mispredicts_total", "", kCounter,
+     "Measured decisions whose predicted work was off by more than 2x.",
+     &site_count<kMispredicts>},
+    {"predicted_units", "grb_decision_predicted_units_total", "", kCounter,
+     "Predicted work of the chosen strategies, in site cost units.",
+     &site_count<kPredictedUnits>},
+    {"measured_units", "grb_decision_measured_units_total", "", kCounter,
+     "Measured work of the chosen strategies, in site cost units.",
+     &site_count<kMeasuredUnits>},
+};
+
+const Metric<Process> kRingMetrics[] = {
+    {"ring_capacity", "grb_decision_ring_capacity", "", MetricKind::kGauge,
+     "Decision-audit ring slots.", &ring_capacity},
+    {"recorded", "grb_decision_ring_recorded_total", "", kCounter,
+     "Decisions written to the ring since the last reset.", &ring_recorded},
+};
+
+}  // namespace
+
 std::string decision_explain(const char* op, uint64_t ctx) {
   std::string text;
   char line[256];
@@ -210,34 +250,23 @@ std::string decision_explain(const char* op, uint64_t ctx) {
     return "decision audit disabled: enable with GxB_Stats_enable(true) "
            "or GRB_DECISIONS=1\n";
   }
-  uint64_t total_records = 0;
-  uint64_t total_measured = 0;
-  uint64_t total_mispredicts = 0;
-  for (const SiteCounters& c : g_sites) {
-    total_records += c.records.load(std::memory_order_relaxed);
-    total_measured += c.measured.load(std::memory_order_relaxed);
-    total_mispredicts += c.mispredicts.load(std::memory_order_relaxed);
-  }
+  const uint64_t total_records = site_total(kRecords);
   std::snprintf(line, sizeof line,
                 "decision audit: %" PRIu64 " recorded, %" PRIu64
                 " measured, %" PRIu64 " mispredicted (ring capacity %" PRIu64
                 ")\n",
-                total_records, total_measured, total_mispredicts,
+                total_records, site_total(kMeasured), site_total(kMispredicts),
                 kRingCapacity);
   text.append(line);
   for (int i = 0; i < kDecisionSiteCount; ++i) {
-    const SiteCounters& c = g_sites[i];
-    uint64_t r = c.records.load(std::memory_order_relaxed);
-    if (r == 0) continue;
-    std::snprintf(line, sizeof line,
-                  "  site %-15s records=%" PRIu64 " measured=%" PRIu64
-                  " mispredicts=%" PRIu64 " predicted_units=%" PRIu64
-                  " measured_units=%" PRIu64 "\n",
-                  kSiteNames[i], r, c.measured.load(std::memory_order_relaxed),
-                  c.mispredicts.load(std::memory_order_relaxed),
-                  c.predicted_units.load(std::memory_order_relaxed),
-                  c.measured_units.load(std::memory_order_relaxed));
+    const auto site = static_cast<DecisionSite>(i);
+    if (site_count<kRecords>(site) == 0) continue;
+    std::snprintf(line, sizeof line, "  site %-15s", kSiteNames[i]);
     text.append(line);
+    for (const Metric<DecisionSite>& m : kSiteMetrics)
+      text.append(" ").append(m.name).append("=").append(
+          std::to_string(m.read(site)));
+    text.push_back('\n');
   }
   DecisionRecord rows[kRingCapacity];
   int n = decision_snapshot(rows, static_cast<int>(kRingCapacity), op, ctx);
@@ -271,124 +300,8 @@ std::string decision_explain(const char* op, uint64_t ctx) {
   return text;
 }
 
-bool decision_stats_get(const char* name, uint64_t* value) {
-  *value = 0;
-  if (std::strncmp(name, "decision.", 9) != 0) return false;
-  const char* rest = name + 9;
-  uint64_t total_records = 0;
-  uint64_t total_measured = 0;
-  uint64_t total_mispredicts = 0;
-  for (const SiteCounters& c : g_sites) {
-    total_records += c.records.load(std::memory_order_relaxed);
-    total_measured += c.measured.load(std::memory_order_relaxed);
-    total_mispredicts += c.mispredicts.load(std::memory_order_relaxed);
-  }
-  if (std::strcmp(rest, "records") == 0) {
-    *value = total_records;
-    return true;
-  }
-  if (std::strcmp(rest, "measured") == 0) {
-    *value = total_measured;
-    return true;
-  }
-  if (std::strcmp(rest, "mispredicts") == 0) {
-    *value = total_mispredicts;
-    return true;
-  }
-  if (std::strcmp(rest, "ring_capacity") == 0) {
-    *value = kRingCapacity;
-    return true;
-  }
-  for (int i = 0; i < kDecisionSiteCount; ++i) {
-    size_t len = std::strlen(kSiteNames[i]);
-    if (std::strncmp(rest, kSiteNames[i], len) != 0 || rest[len] != '.')
-      continue;
-    const char* field = rest + len + 1;
-    const SiteCounters& c = g_sites[i];
-    if (std::strcmp(field, "records") == 0)
-      *value = c.records.load(std::memory_order_relaxed);
-    else if (std::strcmp(field, "measured") == 0)
-      *value = c.measured.load(std::memory_order_relaxed);
-    else if (std::strcmp(field, "mispredicts") == 0)
-      *value = c.mispredicts.load(std::memory_order_relaxed);
-    else if (std::strcmp(field, "predicted_units") == 0)
-      *value = c.predicted_units.load(std::memory_order_relaxed);
-    else if (std::strcmp(field, "measured_units") == 0)
-      *value = c.measured_units.load(std::memory_order_relaxed);
-    else
-      return false;
-    return true;
-  }
-  return false;
-}
-
-std::string decision_json() {
-  std::string out = "{";
-  char buf[256];
-  uint64_t head = g_head.load(std::memory_order_relaxed);
-  std::snprintf(buf, sizeof buf,
-                "\"enabled\":%s,\"ring_capacity\":%" PRIu64
-                ",\"recorded\":%" PRIu64 ",\"sites\":{",
-                decision_enabled() ? "true" : "false", kRingCapacity, head);
-  out.append(buf);
-  bool first = true;
-  for (int i = 0; i < kDecisionSiteCount; ++i) {
-    const SiteCounters& c = g_sites[i];
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(
-        buf, sizeof buf,
-        "\"%s\":{\"records\":%" PRIu64 ",\"measured\":%" PRIu64
-        ",\"mispredicts\":%" PRIu64 ",\"predicted_units\":%" PRIu64
-        ",\"measured_units\":%" PRIu64 "}",
-        kSiteNames[i], c.records.load(std::memory_order_relaxed),
-        c.measured.load(std::memory_order_relaxed),
-        c.mispredicts.load(std::memory_order_relaxed),
-        c.predicted_units.load(std::memory_order_relaxed),
-        c.measured_units.load(std::memory_order_relaxed));
-    out.append(buf);
-  }
-  out.append("}}");
-  return out;
-}
-
-void decision_prometheus(std::string& out) {
-  char buf[192];
-  out.append(
-      "# HELP grb_decision_records_total Adaptive cost-model decisions "
-      "recorded per site.\n# TYPE grb_decision_records_total counter\n");
-  for (int i = 0; i < kDecisionSiteCount; ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "grb_decision_records_total{site=\"%s\"} %" PRIu64 "\n",
-                  kSiteNames[i],
-                  g_sites[i].records.load(std::memory_order_relaxed));
-    out.append(buf);
-  }
-  out.append(
-      "# HELP grb_decision_measured_total Decisions completed with a "
-      "post-execution measurement.\n"
-      "# TYPE grb_decision_measured_total counter\n");
-  for (int i = 0; i < kDecisionSiteCount; ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "grb_decision_measured_total{site=\"%s\"} %" PRIu64 "\n",
-                  kSiteNames[i],
-                  g_sites[i].measured.load(std::memory_order_relaxed));
-    out.append(buf);
-  }
-  out.append(
-      "# HELP grb_decision_mispredicts_total Measured decisions whose "
-      "predicted work was off by more than 2x.\n"
-      "# TYPE grb_decision_mispredicts_total counter\n");
-  for (int i = 0; i < kDecisionSiteCount; ++i) {
-    std::snprintf(buf, sizeof buf,
-                  "grb_decision_mispredicts_total{site=\"%s\"} %" PRIu64 "\n",
-                  kSiteNames[i],
-                  g_sites[i].mispredicts.load(std::memory_order_relaxed));
-    out.append(buf);
-  }
-}
-
-uint64_t decision_ring_capacity() { return kRingCapacity; }
+MetricTable<DecisionSite> decision_site_metrics() { return kSiteMetrics; }
+MetricTable<Process> decision_ring_metrics() { return kRingMetrics; }
 
 void decision_env_activate() {
   const char* v = std::getenv("GRB_DECISIONS");

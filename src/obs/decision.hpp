@@ -5,12 +5,12 @@
 // chose, what it rejected, what the model predicted, and (filled in
 // after the kernel ran) what actually happened.  Records land in a
 // fixed-size lock-free ring tagged with the owning context, surfaced
-// four ways: GxB_Explain renders the newest records as text, the
-// "decisions" block of GxB_Stats_json carries per-site aggregates, the
-// Prometheus exposition exports decision.* record/mispredict families,
-// and (flight-gated) each record also lands as a kDecision flight-
-// recorder event so post-mortems show strategy choices inline with the
-// causal op history.
+// three ways: GxB_Explain renders the newest records as text, the
+// per-site aggregates are rows of the metric table (GxB_Stats_get, the
+// "decisions" block of GxB_Stats_json, the grb_decision_* Prometheus
+// families), and (flight-gated) each record also lands as a kDecision
+// flight-recorder event so post-mortems show strategy choices inline
+// with the causal op history.
 //
 // Overhead contract: emission gates on one relaxed load of g_flags
 // (kDecisionFlag); when the bit is clear the site pays only that load.
@@ -124,21 +124,12 @@ int decision_snapshot(DecisionRecord* out, int max_records, const char* op,
 // there is nothing to show.
 std::string decision_explain(const char* op, uint64_t ctx);
 
-// Counter lookup for names under "decision."  (see stats_get):
-// "decision.records" / ".measured" / ".mispredicts" totals, and
-// "decision.<site>.records" / ".measured" / ".mispredicts" /
-// ".predicted_units" / ".measured_units" per site.
-bool decision_stats_get(const char* name, uint64_t* value);
-
-// The "decisions" object embedded in stats_json (enabled flag, ring
-// occupancy, per-site aggregates).
-std::string decision_json();
-
-// Appends the decision.* Prometheus families (records/mispredicts per
-// site) to `out`, matching the exposition style of stats_prometheus.
-void decision_prometheus(std::string& out);
-
-uint64_t decision_ring_capacity();
+// Metric rows (obs/telemetry.hpp) the audit contributes to the stats
+// surfaces: per-site rows ("decision.<site>.records", the JSON
+// "decisions.sites" block, grb_decision_records_total{site=...}) and
+// ring-level rows ("decision.ring_capacity", "decision.recorded").
+MetricTable<DecisionSite> decision_site_metrics();
+MetricTable<Process> decision_ring_metrics();
 
 // GRB_DECISIONS=1 enables the audit at init (GxB_Stats_enable also
 // turns it on: counters without their why are half an answer).

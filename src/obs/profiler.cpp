@@ -1,8 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -10,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #define GRB_HAVE_PERF_EVENT 1
@@ -30,30 +29,14 @@ namespace {
 std::atomic<uint8_t> g_backend{0};      // ProfBackend
 std::atomic<uint32_t> g_generation{0};  // bumped per probe; 0 = never
 
-std::atomic<uint64_t> g_regions{0};
-std::atomic<uint64_t> g_cycles{0};
-std::atomic<uint64_t> g_instructions{0};
-std::atomic<uint64_t> g_cache_misses{0};
-std::atomic<uint64_t> g_branch_misses{0};
-std::atomic<uint64_t> g_cpu_ns{0};
-
-struct Agg {
-  uint64_t count = 0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-  uint64_t cpu_ns = 0;
-  uint64_t wall_ns = 0;
-};
 using AggKey = std::tuple<uint64_t, std::string, std::string>;
 
 std::mutex& agg_mu() {
   static std::mutex mu;
   return mu;
 }
-std::map<AggKey, Agg>& agg_map() {
-  static auto* m = new std::map<AggKey, Agg>();
+std::map<AggKey, ProfRegion>& agg_map() {
+  static auto* m = new std::map<AggKey, ProfRegion>();
   return *m;
 }
 
@@ -219,12 +202,6 @@ void prof_set_enabled(bool on) {
 void prof_reset() {
   std::lock_guard<std::mutex> lock(agg_mu());
   agg_map().clear();
-  g_regions.store(0, std::memory_order_relaxed);
-  g_cycles.store(0, std::memory_order_relaxed);
-  g_instructions.store(0, std::memory_order_relaxed);
-  g_cache_misses.store(0, std::memory_order_relaxed);
-  g_branch_misses.store(0, std::memory_order_relaxed);
-  g_cpu_ns.store(0, std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -276,123 +253,59 @@ void prof_end(const ProfStart& st, const char* op, const char* strategy) {
   }
 #endif
 
-  g_regions.fetch_add(1, std::memory_order_relaxed);
-  g_cycles.fetch_add(vals[0], std::memory_order_relaxed);
-  g_instructions.fetch_add(vals[1], std::memory_order_relaxed);
-  g_cache_misses.fetch_add(vals[2], std::memory_order_relaxed);
-  g_branch_misses.fetch_add(vals[3], std::memory_order_relaxed);
-  g_cpu_ns.fetch_add(cpu_ns, std::memory_order_relaxed);
-
   std::lock_guard<std::mutex> lock(agg_mu());
-  Agg& a = agg_map()[AggKey{current_ctx(), op, strategy}];
-  a.count += 1;
-  a.cycles += vals[0];
-  a.instructions += vals[1];
-  a.cache_misses += vals[2];
-  a.branch_misses += vals[3];
-  a.cpu_ns += cpu_ns;
-  a.wall_ns += wall_ns;
+  const uint64_t ctx = current_ctx();
+  ProfRegion& a = agg_map()[AggKey{ctx, op, strategy}];
+  if (a.n[kProfCount] == 0) {
+    a.ctx = ctx;
+    a.op = op;
+    a.strategy = strategy;
+  }
+  a.n[kProfCount] += 1;
+  for (int i = 0; i < 4; ++i) a.n[kProfCycles + i] += vals[i];
+  a.n[kProfCpuNs] += cpu_ns;
+  a.n[kProfWallNs] += wall_ns;
 }
 
 }  // namespace detail
 
-bool prof_stats_get(const char* name, uint64_t* value) {
-  *value = 0;
-  if (std::strncmp(name, "prof.", 5) != 0) return false;
-  const char* rest = name + 5;
-  if (std::strcmp(rest, "regions") == 0)
-    *value = g_regions.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "backend") == 0)
-    *value = g_backend.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cycles") == 0)
-    *value = g_cycles.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "instructions") == 0)
-    *value = g_instructions.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cache_misses") == 0)
-    *value = g_cache_misses.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "branch_misses") == 0)
-    *value = g_branch_misses.load(std::memory_order_relaxed);
-  else if (std::strcmp(rest, "cpu_ns") == 0)
-    *value = g_cpu_ns.load(std::memory_order_relaxed);
-  else
-    return false;
-  return true;
-}
-
-std::string prof_json() {
-  std::string out = "{";
-  char buf[320];
-  std::snprintf(buf, sizeof buf,
-                "\"backend\":\"%s\",\"enabled\":%s,\"regions_total\":%" PRIu64
-                ",\"regions\":[",
-                prof_backend_name(), prof_enabled() ? "true" : "false",
-                g_regions.load(std::memory_order_relaxed));
-  out.append(buf);
+std::vector<ProfRegion> prof_regions() {
   std::lock_guard<std::mutex> lock(agg_mu());
-  bool first = true;
-  for (const auto& [key, a] : agg_map()) {
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"ctx\":%" PRIu64 ",\"op\":\"%s\",\"strategy\":\"%s\","
-        "\"count\":%" PRIu64 ",\"cycles\":%" PRIu64
-        ",\"instructions\":%" PRIu64 ",\"cache_misses\":%" PRIu64
-        ",\"branch_misses\":%" PRIu64 ",\"cpu_ns\":%" PRIu64
-        ",\"wall_ns\":%" PRIu64 "}",
-        std::get<0>(key), std::get<1>(key).c_str(), std::get<2>(key).c_str(),
-        a.count, a.cycles, a.instructions, a.cache_misses, a.branch_misses,
-        a.cpu_ns, a.wall_ns);
-    out.append(buf);
-  }
-  out.append("]}");
+  std::vector<ProfRegion> out;
+  out.reserve(agg_map().size());
+  for (const auto& kv : agg_map()) out.push_back(kv.second);
   return out;
 }
 
-void prof_prometheus(std::string& out) {
-  char buf[320];
-  out.append(
-      "# HELP grb_prof_backend_info Live hardware-profiler backend "
-      "(1 = active).\n# TYPE grb_prof_backend_info gauge\n");
-  std::snprintf(buf, sizeof buf, "grb_prof_backend_info{backend=\"%s\"} 1\n",
-                prof_backend_name());
-  out.append(buf);
+namespace {
 
-  std::lock_guard<std::mutex> lock(agg_mu());
-  const auto& m = agg_map();
-  if (m.empty()) return;
-  struct Family {
-    const char* name;
-    const char* help;
-    uint64_t Agg::* field;
-  };
-  static constexpr Family kFamilies[] = {
-      {"grb_prof_regions_total", "Profiled kernel regions.", &Agg::count},
-      {"grb_prof_cycles_total", "CPU cycles in profiled regions.",
-       &Agg::cycles},
-      {"grb_prof_instructions_total",
-       "Instructions retired in profiled regions.", &Agg::instructions},
-      {"grb_prof_cache_misses_total", "Cache misses in profiled regions.",
-       &Agg::cache_misses},
-      {"grb_prof_branch_misses_total", "Branch misses in profiled regions.",
-       &Agg::branch_misses},
-      {"grb_prof_cpu_ns_total", "Thread CPU nanoseconds in profiled regions.",
-       &Agg::cpu_ns},
-  };
-  for (const Family& fam : kFamilies) {
-    std::snprintf(buf, sizeof buf, "# HELP %s %s\n# TYPE %s counter\n",
-                  fam.name, fam.help, fam.name);
-    out.append(buf);
-    for (const auto& [key, a] : m) {
-      std::snprintf(buf, sizeof buf,
-                    "%s{op=\"%s\",strategy=\"%s\",context=\"%" PRIu64
-                    "\"} %" PRIu64 "\n",
-                    fam.name, std::get<1>(key).c_str(),
-                    std::get<2>(key).c_str(), std::get<0>(key), a.*fam.field);
-      out.append(buf);
-    }
-  }
-}
+constexpr auto kCounter = MetricKind::kCounter;
+
+template <ProfField F>
+uint64_t region_value(const ProfRegion& r) { return r.n[F]; }
+
+const Metric<ProfRegion> kRegionMetrics[] = {
+    {"count", "grb_prof_regions_total", "", kCounter,
+     "Profiled kernel regions.", &region_value<kProfCount>},
+    {"cycles", "grb_prof_cycles_total", "", kCounter,
+     "CPU cycles in profiled regions.", &region_value<kProfCycles>},
+    {"instructions", "grb_prof_instructions_total", "", kCounter,
+     "Instructions retired in profiled regions.",
+     &region_value<kProfInstructions>},
+    {"cache_misses", "grb_prof_cache_misses_total", "", kCounter,
+     "Cache misses in profiled regions.", &region_value<kProfCacheMisses>},
+    {"branch_misses", "grb_prof_branch_misses_total", "", kCounter,
+     "Branch misses in profiled regions.", &region_value<kProfBranchMisses>},
+    {"cpu_ns", "grb_prof_cpu_ns_total", "", kCounter,
+     "Thread CPU nanoseconds in profiled regions.", &region_value<kProfCpuNs>},
+    {"wall_ns", "grb_prof_wall_ns_total", "", kCounter,
+     "Wall-clock nanoseconds in profiled regions.",
+     &region_value<kProfWallNs>},
+};
+
+}  // namespace
+
+MetricTable<ProfRegion> prof_region_metrics() { return kRegionMetrics; }
 
 void prof_env_activate() {
   const char* v = std::getenv("GRB_PROF");

@@ -14,7 +14,8 @@
 // clock is missing) and still produces consistent per-key records with
 // zero hardware counters.  GRB_PERF_EVENTS=0 (or "off") forces the
 // degraded backend; prof_backend_name() reports which backend is live,
-// and the Prometheus exposition carries it as grb_prof_backend_info.
+// and the stats surfaces carry it (grb_prof_backend_info, the JSON
+// "prof" block).
 //
 // Overhead contract: off by default behind kProfFlag in the shared
 // g_flags word — a disabled ProfScope costs one relaxed load in its
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry.hpp"
 
@@ -88,19 +90,27 @@ class ProfScope {
 };
 
 // --- Introspection --------------------------------------------------------
-// "prof.regions", "prof.backend" (ProfBackend numeric), "prof.cycles",
-// "prof.instructions", "prof.cache_misses", "prof.branch_misses",
-// "prof.cpu_ns" — process totals across all keys.
-bool prof_stats_get(const char* name, uint64_t* value);
+// One (context, op, strategy) key's aggregate: regions run, the four
+// hardware counters in group order (zero under degraded backends rather
+// than a lie), thread CPU and wall nanoseconds.
+enum ProfField : int {
+  kProfCount, kProfCycles, kProfInstructions, kProfCacheMisses,
+  kProfBranchMisses, kProfCpuNs, kProfWallNs, kProfFields
+};
+struct ProfRegion {
+  uint64_t ctx = 0;
+  std::string op;
+  std::string strategy;
+  uint64_t n[kProfFields] = {};
+};
 
-// The "prof" object embedded in stats_json: live backend, region totals
-// and the per-(context, op, strategy) aggregate table — the profiler
-// half of the grb_prof_report.py join.
-std::string prof_json();
+// Snapshot of every key, in (context, op, strategy) order.
+std::vector<ProfRegion> prof_regions();
 
-// Appends grb_prof_backend_info plus per-key region/cycle/instruction/
-// miss families to a Prometheus exposition.
-void prof_prometheus(std::string& out);
+// Metric rows (obs/telemetry.hpp) over the regions: the "prof.regions"
+// JSON array, the grb_prof_*_total{op,strategy,context} families, and
+// the "prof.<field>" process totals of GxB_Stats_get.
+MetricTable<ProfRegion> prof_region_metrics();
 
 // GRB_PROF=1 enables at init; GRB_PERF_EVENTS=0 forces the degraded
 // backend (honored at every probe).

@@ -1,5 +1,8 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -9,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,56 +51,72 @@ void bump_high_water(std::atomic<uint64_t>& hw, uint64_t v) {
 }
 
 // --- latency histograms ---------------------------------------------------
-// Log2-bucketed per-op duration histograms.  Bucket b holds durations v
-// with bit_width(v) == b, i.e. v in [2^(b-1), 2^b); percentile estimates
-// report a bucket's inclusive upper bound (2^b - 1), so they are exact
-// upper bounds with at most 2x quantization — max_ns stays exact.
-// Writes go to a per-thread shard (relaxed, lock-free) and are merged on
-// read; 44 buckets cover durations past two hours.
+// Log2-bucketed duration histograms.  Bucket b holds durations v with
+// bit_width(v) == b, i.e. v in [2^(b-1), 2^b); a quantile reports its
+// bucket's inclusive upper bound (2^b - 1) clamped to the exact max, so
+// it is an upper bound with at most 2x quantization that never exceeds
+// the largest sample.  Op writes go to a per-thread shard (relaxed,
+// lock-free) and are merged on read; 44 buckets cover durations past two
+// hours.
 
 constexpr int kHistBuckets = 44;
 constexpr int kHistShards = 8;
 
-int bit_width_u64(uint64_t v) {
-#if defined(__GNUC__) || defined(__clang__)
-  return v == 0 ? 0 : 64 - __builtin_clzll(v);
-#else
-  int b = 0;
-  while (v != 0) {
-    ++b;
-    v >>= 1;
-  }
-  return b;
-#endif
-}
-
 int hist_bucket(uint64_t ns) {
-  int b = bit_width_u64(ns);
-  return b < kHistBuckets ? b : kHistBuckets - 1;
-}
-
-uint64_t hist_bucket_upper(int b) {
-  return b == 0 ? 0 : (uint64_t{1} << b) - 1;
+  return std::min(static_cast<int>(std::bit_width(ns)), kHistBuckets - 1);
 }
 
 uint64_t ld(const std::atomic<uint64_t>& v) {
   return v.load(std::memory_order_relaxed);
 }
 
+// Relaxed-merged read view of one histogram and its exact max.
+struct HistAgg {
+  uint64_t counts[kHistBuckets] = {};
+  uint64_t max_ns = 0;
+
+  void merge_max(uint64_t m) {
+    if (m > this->max_ns) this->max_ns = m;
+  }
+  uint64_t samples() const {
+    uint64_t n = 0;
+    for (uint64_t c : counts) n += c;
+    return n;
+  }
+  // Ceil-rank quantile: the upper bound of the bucket holding the
+  // pct-th percentile sample, clamped to the observed max.
+  uint64_t quantile(uint64_t pct) const {
+    uint64_t target = (samples() * pct + 99) / 100;
+    if (target == 0) return 0;
+    uint64_t cum = 0;
+    int b = 0;
+    for (; b < kHistBuckets - 1; ++b) {
+      cum += counts[b];
+      if (cum >= target) break;
+    }
+    uint64_t upper = b == 0 ? 0 : (uint64_t{1} << b) - 1;
+    return upper < this->max_ns ? upper : this->max_ns;
+  }
+};
+
 // --- counters -------------------------------------------------------------
+// Each counter set is an enum-indexed array of relaxed atomics, so reset,
+// context drain, aggregation and the metric-table readers are loops over
+// one field list.
+
+enum OpField : int {
+  kCalls, kNs, kErrors, kScalars, kFlops, kSerial, kParallel, kDeferred,
+  kDeferredNs, kOpFields
+};
 
 struct OpCounters {
-  std::atomic<uint64_t> calls{0};
-  std::atomic<uint64_t> ns{0};
-  std::atomic<uint64_t> errors{0};
-  std::atomic<uint64_t> scalars{0};
-  std::atomic<uint64_t> flops{0};
-  std::atomic<uint64_t> serial{0};
-  std::atomic<uint64_t> parallel{0};
-  std::atomic<uint64_t> deferred{0};
-  std::atomic<uint64_t> deferred_ns{0};
+  std::atomic<uint64_t> fields[kOpFields] = {};
   std::atomic<uint64_t> max_ns{0};
   std::atomic<uint64_t> hist[kHistShards][kHistBuckets] = {};
+
+  void add(OpField f, uint64_t n) {
+    fields[f].fetch_add(n, std::memory_order_relaxed);
+  }
 
   void hist_add(uint64_t dur_ns) {
     hist[this_tid() & (kHistShards - 1)][hist_bucket(dur_ns)].fetch_add(
@@ -105,14 +125,10 @@ struct OpCounters {
   }
 
   void reset() {
-    // Explicit relaxed stores: the chained-assignment form is a silent
-    // seq_cst store per counter (and a seq_cst load per link of the
-    // chain).  Reset needs no ordering — readers tolerate torn resets
-    // the same way they tolerate concurrent bumps.
-    for (std::atomic<uint64_t>* c :
-         {&calls, &ns, &errors, &scalars, &flops, &serial, &parallel,
-          &deferred, &deferred_ns, &max_ns})
-      c->store(0, std::memory_order_relaxed);
+    // Relaxed stores: reset carries no ordering obligation — readers
+    // tolerate torn resets the same way they tolerate concurrent bumps.
+    for (auto& c : fields) c.store(0, std::memory_order_relaxed);
+    max_ns.store(0, std::memory_order_relaxed);
     for (auto& shard : hist)
       for (auto& bucket : shard) bucket.store(0, std::memory_order_relaxed);
   }
@@ -124,18 +140,9 @@ struct OpCounters {
   // so a late bump against a retired context still has a home and is
   // folded into the ancestor at read time.
   void drain_into(OpCounters& dst) {
-    struct Pair {
-      std::atomic<uint64_t>* from;
-      std::atomic<uint64_t>* to;
-    };
-    for (Pair p : {Pair{&calls, &dst.calls}, Pair{&ns, &dst.ns},
-                   Pair{&errors, &dst.errors}, Pair{&scalars, &dst.scalars},
-                   Pair{&flops, &dst.flops}, Pair{&serial, &dst.serial},
-                   Pair{&parallel, &dst.parallel},
-                   Pair{&deferred, &dst.deferred},
-                   Pair{&deferred_ns, &dst.deferred_ns}})
-      p.to->fetch_add(p.from->exchange(0, std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    for (int f = 0; f < kOpFields; ++f)
+      dst.fields[f].fetch_add(fields[f].exchange(0, std::memory_order_relaxed),
+                              std::memory_order_relaxed);
     for (int sh = 0; sh < kHistShards; ++sh)
       for (int b = 0; b < kHistBuckets; ++b)
         dst.hist[sh][b].fetch_add(
@@ -145,118 +152,72 @@ struct OpCounters {
   }
 };
 
-// Shard-merged histogram view with the percentile upper bounds.
-struct HistSummary {
-  uint64_t count = 0;
-  uint64_t p50 = 0, p90 = 0, p99 = 0, max = 0;
+// Relaxed-merged snapshot of one (context, op) entry — or of several,
+// when dead contexts fold into a live ancestor or contexts merge into
+// the flat per-op view.
+struct OpAgg : HistAgg {
+  uint64_t fields[kOpFields] = {};
+
+  void add(const OpCounters& c) {
+    for (int f = 0; f < kOpFields; ++f) fields[f] += ld(c.fields[f]);
+    merge_max(ld(c.max_ns));
+    for (const auto& shard : c.hist)
+      for (int b = 0; b < kHistBuckets; ++b) counts[b] += ld(shard[b]);
+  }
+  void merge(const OpAgg& a) {
+    for (int f = 0; f < kOpFields; ++f) fields[f] += a.fields[f];
+    merge_max(a.max_ns);
+    for (int b = 0; b < kHistBuckets; ++b) counts[b] += a.counts[b];
+  }
+  // An op row with no calls and no deferred residue carries no
+  // information, only bytes (stats_json's trim_zero_rows drops it).
+  bool all_zero() const {
+    for (uint64_t v : fields)
+      if (v != 0) return false;
+    return this->max_ns == 0;
+  }
 };
 
-HistSummary summarize_counts(const uint64_t counts[kHistBuckets],
-                             uint64_t max) {
-  HistSummary s;
-  s.max = max;
-  for (int b = 0; b < kHistBuckets; ++b) s.count += counts[b];
-  if (s.count == 0) return s;
-  auto quantile = [&](uint64_t pct) -> uint64_t {
-    uint64_t target = (s.count * pct + 99) / 100;  // ceil rank
-    uint64_t cum = 0;
-    for (int b = 0; b < kHistBuckets; ++b) {
-      cum += counts[b];
-      if (cum >= target) return hist_bucket_upper(b);
-    }
-    return hist_bucket_upper(kHistBuckets - 1);
-  };
-  s.p50 = quantile(50);
-  s.p90 = quantile(90);
-  s.p99 = quantile(99);
-  return s;
-}
-
-// Relaxed-merged snapshot of one (context, op) cell — or of several,
-// when dead contexts fold into a live ancestor at read time.
-struct OpAgg {
-  uint64_t calls = 0;
-  uint64_t ns = 0;
-  uint64_t errors = 0;
-  uint64_t scalars = 0;
-  uint64_t flops = 0;
-  uint64_t serial = 0;
-  uint64_t parallel = 0;
-  uint64_t deferred = 0;
-  uint64_t deferred_ns = 0;
-  uint64_t max_ns = 0;
-  uint64_t counts[kHistBuckets] = {};
-
-  // Members mirror the atomics' names; `this->` keeps the plain += from
-  // pattern-matching as an implicit-order atomic access in grb_analyze.
-  void add(const OpCounters& c) {
-    this->calls += ld(c.calls);
-    this->ns += ld(c.ns);
-    this->errors += ld(c.errors);
-    this->scalars += ld(c.scalars);
-    this->flops += ld(c.flops);
-    this->serial += ld(c.serial);
-    this->parallel += ld(c.parallel);
-    this->deferred += ld(c.deferred);
-    this->deferred_ns += ld(c.deferred_ns);
-    uint64_t m = ld(c.max_ns);
-    if (m > this->max_ns) this->max_ns = m;
-    for (int sh = 0; sh < kHistShards; ++sh)
-      for (int b = 0; b < kHistBuckets; ++b)
-        counts[b] += c.hist[sh][b].load(std::memory_order_relaxed);
-  }
-
-  HistSummary summarize() const { return summarize_counts(counts, max_ns); }
+// busy is a live gauge owned by in-flight parallel_for calls, so it sits
+// past the fields that stats_reset zeroes.
+enum PoolField : int {
+  kSubmitted,      // chunks handed to parallel_for
+  kChunks,         // chunks executed (any lane)
+  kSteals,         // chunks executed by worker lanes
+  kParks,          // idle cv-wait episodes
+  kParkNs,         // total idle cv-wait duration
+  kBusyHighWater,  // high-water of busy
+  kBusy,           // currently-running lanes
+  kPoolFields
 };
 
 struct PoolCounters {
-  std::atomic<uint64_t> submitted{0};   // chunks handed to parallel_for
-  std::atomic<uint64_t> chunks{0};      // chunks executed (any lane)
-  std::atomic<uint64_t> steals{0};      // chunks executed by worker lanes
-  std::atomic<uint64_t> parks{0};       // cv-wait episodes
-  std::atomic<uint64_t> park_ns{0};     // total cv-wait duration
-  std::atomic<uint64_t> busy{0};        // currently-running lanes (gauge)
-  std::atomic<uint64_t> busy_hw{0};     // high-water of busy
-
-  void reset() {
-    // busy is a live gauge; leave it to its owners.  Relaxed stores for
-    // the rest: reset carries no ordering obligation.
-    for (std::atomic<uint64_t>* c :
-         {&submitted, &chunks, &steals, &parks, &park_ns, &busy_hw})
-      c->store(0, std::memory_order_relaxed);
-  }
+  std::atomic<uint64_t> fields[kPoolFields] = {};
 };
 
-struct Globals {
-  std::atomic<uint64_t> queue_enqueued{0};
-  std::atomic<uint64_t> queue_hw{0};
-  std::atomic<uint64_t> queue_drained{0};
-  std::atomic<uint64_t> pending_hw{0};
-  std::atomic<uint64_t> pool_busy{0};  // sum over pools, for the C event
-  std::atomic<uint64_t> trace_events{0};
-  std::atomic<uint64_t> trace_dropped{0};
-  // SpGEMM engine decisions (rows routed to each accumulator, symbolic
-  // flop totals) and scratch-arena reuse outcomes.
-  std::atomic<uint64_t> spgemm_rows_hash{0};
-  std::atomic<uint64_t> spgemm_rows_dense{0};
-  std::atomic<uint64_t> spgemm_flops_est{0};
-  std::atomic<uint64_t> arena_hits{0};
-  std::atomic<uint64_t> arena_misses{0};
-  // Fusion-planner outcomes (chains selected, nodes fused into them,
-  // dead writes eliminated) accumulated across materialization batches.
-  std::atomic<uint64_t> fusion_chains{0};
-  std::atomic<uint64_t> fusion_ops_fused{0};
-  std::atomic<uint64_t> fusion_dead_writes{0};
-  // Storage-format layer: publish-time format switches, descriptor-
-  // transpose cache outcomes, and lazy canonical (CSR/sparse) view
-  // expansions.
-  std::atomic<uint64_t> format_switches{0};
-  std::atomic<uint64_t> format_trans_hits{0};
-  std::atomic<uint64_t> format_trans_misses{0};
-  std::atomic<uint64_t> format_csr_conversions{0};
+// Process-wide counters.  The trace counters reset with the trace
+// buffer and pool_busy (the sum over pools, for the trace's counter
+// event) is live, so they sit past kResetGlobals.
+enum GlobalCounter : int {
+  kQueueEnqueued, kQueueHighWater, kQueueDrained, kPendingHighWater,
+  // SpGEMM engine decisions and scratch-arena reuse outcomes.
+  kSpgemmRowsHash, kSpgemmRowsDense, kSpgemmFlopsEst, kArenaHits,
+  kArenaMisses,
+  // Fusion-planner outcomes across materialization batches.
+  kFusionChains, kFusionOpsFused, kFusionDeadWrites,
+  // Storage-format layer: publish-time switches, descriptor-transpose
+  // cache outcomes, lazy canonical-view expansions.
+  kFormatSwitches, kFormatTransHits, kFormatTransMisses,
+  kFormatCsrConversions,
+  kResetGlobals,
+  kTraceEvents = kResetGlobals, kTraceDropped, kPoolBusy, kGlobals
 };
 
-Globals g_globals;
+std::atomic<uint64_t> g_globals[kGlobals] = {};
+
+void global_add(GlobalCounter g, uint64_t n) {
+  g_globals[g].fetch_add(n, std::memory_order_relaxed);
+}
 
 // --- context-keyed op registry --------------------------------------------
 // One entry per context id ever observed (registered by context.cpp or
@@ -319,32 +280,6 @@ PoolCounters& pool_counters(int pool_id) {
   return *slot;
 }
 
-// Aggregate one op across every context (the ungrouped stats_get view).
-// Caller holds reg_mu.
-bool agg_op(const char* op, OpAgg* out) {
-  bool found = false;
-  for (auto& ckv : ctx_registry()) {
-    auto it = ckv.second.ops.find(op);
-    if (it != ckv.second.ops.end()) {
-      out->add(*it->second);
-      found = true;
-    }
-  }
-  return found;
-}
-
-// Resolved per-context view: every entry folded into its nearest live
-// ancestor.  Caller holds reg_mu.
-std::map<uint64_t, std::map<std::string, OpAgg>> ctx_view() {
-  std::map<uint64_t, std::map<std::string, OpAgg>> view;
-  for (auto& ckv : ctx_registry()) {
-    if (ckv.second.ops.empty()) continue;
-    uint64_t target = resolve_live(ckv.first);
-    for (auto& okv : ckv.second.ops) view[target][okv.first].add(*okv.second);
-  }
-  return view;
-}
-
 // --- lock-contention profiler ---------------------------------------------
 // Fixed open-addressed table keyed by the site-name string POINTER (a
 // function-name literal), so recording is allocation-free and safe
@@ -354,12 +289,13 @@ std::map<uint64_t, std::map<std::string, OpAgg>> ctx_view() {
 // slots; read paths merge by strcmp.  Hist is unsharded: contended
 // acquisitions are orders of magnitude rarer than op bumps.
 
+enum LockField : int {
+  kAcquires, kContended, kWaitNs, kMaxWaitNs, kLockFields
+};
+
 struct LockSiteSlot {
   std::atomic<const char*> name{nullptr};
-  std::atomic<uint64_t> acquires{0};
-  std::atomic<uint64_t> contended{0};
-  std::atomic<uint64_t> wait_ns{0};
-  std::atomic<uint64_t> max_wait_ns{0};
+  std::atomic<uint64_t> fields[kLockFields] = {};
   std::atomic<uint64_t> hist[kHistBuckets] = {};
 };
 
@@ -384,14 +320,8 @@ LockSiteSlot* lock_site_slot(const char* site) {
   return nullptr;  // table full: drop the sample (bounded by design)
 }
 
-struct LockAgg {
-  uint64_t acquires = 0;
-  uint64_t contended = 0;
-  uint64_t wait_ns = 0;
-  uint64_t max_ns = 0;
-  uint64_t counts[kHistBuckets] = {};
-
-  HistSummary summarize() const { return summarize_counts(counts, max_ns); }
+struct LockAgg : HistAgg {
+  uint64_t fields[kMaxWaitNs] = {};
 };
 
 // Name-merged read view of the site table (no lock needed: slots are
@@ -402,11 +332,8 @@ std::map<std::string, LockAgg> lock_view() {
     const char* name = s.name.load(std::memory_order_acquire);
     if (name == nullptr) continue;
     LockAgg& a = view[name];
-    a.acquires += ld(s.acquires);
-    a.contended += ld(s.contended);
-    a.wait_ns += ld(s.wait_ns);
-    uint64_t m = ld(s.max_wait_ns);
-    if (m > a.max_ns) a.max_ns = m;
+    for (int f = 0; f < kMaxWaitNs; ++f) a.fields[f] += ld(s.fields[f]);
+    a.merge_max(ld(s.fields[kMaxWaitNs]));
     for (int b = 0; b < kHistBuckets; ++b) a.counts[b] += ld(s.hist[b]);
   }
   return view;
@@ -415,9 +342,7 @@ std::map<std::string, LockAgg> lock_view() {
 void lock_sites_reset() {
   for (LockSiteSlot& s : g_lock_sites) {
     if (s.name.load(std::memory_order_acquire) == nullptr) continue;
-    for (std::atomic<uint64_t>* c :
-         {&s.acquires, &s.contended, &s.wait_ns, &s.max_wait_ns})
-      c->store(0, std::memory_order_relaxed);
+    for (auto& c : s.fields) c.store(0, std::memory_order_relaxed);
     for (auto& b : s.hist) b.store(0, std::memory_order_relaxed);
   }
 }
@@ -564,12 +489,12 @@ void record_event(const char* name, const char* cat, char ph, uint64_t ts_ns,
   if (!trace_enabled()) return;  // raced with a dump/stop; drop silently
   auto& buf = trace_buf();
   if (buf.size() >= kMaxTraceEvents) {
-    g_globals.trace_dropped.fetch_add(1, std::memory_order_relaxed);
+    global_add(kTraceDropped, 1);
     return;
   }
   buf.push_back(Event{name, cat, ph, this_tid(), ts_ns, dur_ns, akey, aval,
                       flow, ctx});
-  g_globals.trace_events.fetch_add(1, std::memory_order_relaxed);
+  global_add(kTraceEvents, 1);
 }
 
 void set_flag(uint32_t flag, bool on) {
@@ -591,38 +516,6 @@ std::string& env_metrics_path() {
 std::string& env_stats_json_path() {
   static auto* path = new std::string();
   return *path;
-}
-
-void json_append_escaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
-// Prometheus label-value escaping (exposition format 0.0.4): backslash,
-// double-quote and newline must be escaped inside label values.
-void prom_append_escaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    if (c == '\\' || c == '"') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      out->append("\\n");
-    } else {
-      out->push_back(c);
-    }
-  }
 }
 
 }  // namespace
@@ -672,10 +565,10 @@ void api_return(const char* op, uint64_t t0, bool failed) {
   uint64_t t1 = now_ns();
   if ((f & kStatsFlag) != 0) {
     OpCounters& c = op_counters(op);
-    c.calls.fetch_add(1, std::memory_order_relaxed);
-    c.ns.fetch_add(t1 - t0, std::memory_order_relaxed);
+    c.add(kCalls, 1);
+    c.add(kNs, t1 - t0);
     c.hist_add(t1 - t0);
-    if (failed) c.errors.fetch_add(1, std::memory_order_relaxed);
+    if (failed) c.add(kErrors, 1);
   }
   if ((f & kTraceFlag) != 0) {
     record_event(op, "api", 'X', t0, t1 - t0,
@@ -690,10 +583,10 @@ void deferred_return(const char* op, uint64_t t0, uint64_t enq_ns,
   uint64_t t1 = now_ns();
   if ((f & kStatsFlag) != 0) {
     OpCounters& c = op_counters(op);
-    c.deferred.fetch_add(1, std::memory_order_relaxed);
-    c.deferred_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
+    c.add(kDeferred, 1);
+    c.add(kDeferredNs, t1 - t0);
     c.hist_add(t1 - t0);
-    if (failed) c.errors.fetch_add(1, std::memory_order_relaxed);
+    if (failed) c.add(kErrors, 1);
   }
   if ((f & kTraceFlag) != 0) {
     uint64_t gap_us =
@@ -710,49 +603,40 @@ void latency_record(const char* op, uint64_t ns) {
 
 void count_path(bool parallel) {
   if (!stats_enabled()) return;
-  OpCounters& c = op_counters(current_op());
-  (parallel ? c.parallel : c.serial).fetch_add(1, std::memory_order_relaxed);
+  op_counters(current_op()).add(parallel ? kParallel : kSerial, 1);
 }
 
 void add_scalars(uint64_t n) {
   if (!stats_enabled()) return;
-  op_counters(current_op()).scalars.fetch_add(n, std::memory_order_relaxed);
+  op_counters(current_op()).add(kScalars, n);
 }
 
 void add_flops(uint64_t n) {
   if (!stats_enabled()) return;
-  op_counters(current_op()).flops.fetch_add(n, std::memory_order_relaxed);
+  op_counters(current_op()).add(kFlops, n);
 }
 
 void spgemm_rows(uint64_t rows_hash, uint64_t rows_dense) {
   if (!stats_enabled()) return;
-  if (rows_hash != 0)
-    g_globals.spgemm_rows_hash.fetch_add(rows_hash, std::memory_order_relaxed);
-  if (rows_dense != 0)
-    g_globals.spgemm_rows_dense.fetch_add(rows_dense,
-                                          std::memory_order_relaxed);
+  if (rows_hash != 0) global_add(kSpgemmRowsHash, rows_hash);
+  if (rows_dense != 0) global_add(kSpgemmRowsDense, rows_dense);
 }
 
 void spgemm_flops_estimated(uint64_t n) {
   if (!stats_enabled()) return;
-  g_globals.spgemm_flops_est.fetch_add(n, std::memory_order_relaxed);
+  global_add(kSpgemmFlopsEst, n);
 }
 
 void arena_request(bool hit) {
   if (!stats_enabled()) return;
-  (hit ? g_globals.arena_hits : g_globals.arena_misses)
-      .fetch_add(1, std::memory_order_relaxed);
+  global_add(hit ? kArenaHits : kArenaMisses, 1);
 }
 
 void fusion_plan(uint64_t chains, uint64_t ops_fused, uint64_t dead_writes) {
   if (!stats_enabled()) return;
-  if (chains != 0)
-    g_globals.fusion_chains.fetch_add(chains, std::memory_order_relaxed);
-  if (ops_fused != 0)
-    g_globals.fusion_ops_fused.fetch_add(ops_fused, std::memory_order_relaxed);
-  if (dead_writes != 0)
-    g_globals.fusion_dead_writes.fetch_add(dead_writes,
-                                           std::memory_order_relaxed);
+  if (chains != 0) global_add(kFusionChains, chains);
+  if (ops_fused != 0) global_add(kFusionOpsFused, ops_fused);
+  if (dead_writes != 0) global_add(kFusionDeadWrites, dead_writes);
 }
 
 void fusion_span(const char* name, uint64_t t0) {
@@ -763,18 +647,17 @@ void fusion_span(const char* name, uint64_t t0) {
 
 void format_switch() {
   if (!stats_enabled()) return;
-  g_globals.format_switches.fetch_add(1, std::memory_order_relaxed);
+  global_add(kFormatSwitches, 1);
 }
 
 void format_transpose_cache(bool hit) {
   if (!stats_enabled()) return;
-  (hit ? g_globals.format_trans_hits : g_globals.format_trans_misses)
-      .fetch_add(1, std::memory_order_relaxed);
+  global_add(hit ? kFormatTransHits : kFormatTransMisses, 1);
 }
 
 void format_csr_convert() {
   if (!stats_enabled()) return;
-  g_globals.format_csr_conversions.fetch_add(1, std::memory_order_relaxed);
+  global_add(kFormatCsrConversions, 1);
 }
 
 // --- causal flow linking ----------------------------------------------------
@@ -799,8 +682,8 @@ void flow_step(const char* op, uint64_t flow_id) {
 void queue_depth_sample(size_t depth) {
   uint32_t f = flags();
   if ((f & (kStatsFlag | kTraceFlag)) == 0) return;
-  g_globals.queue_enqueued.fetch_add(1, std::memory_order_relaxed);
-  bump_high_water(g_globals.queue_hw, depth);
+  global_add(kQueueEnqueued, 1);
+  bump_high_water(g_globals[kQueueHighWater], depth);
   if ((f & kTraceFlag) != 0) {
     record_event("queue.depth", "gauge", 'C', now_ns(), 0, "value", depth);
   }
@@ -808,13 +691,13 @@ void queue_depth_sample(size_t depth) {
 
 void queue_drained(size_t batch) {
   if (!telemetry_enabled()) return;
-  g_globals.queue_drained.fetch_add(batch, std::memory_order_relaxed);
+  global_add(kQueueDrained, batch);
 }
 
 void pending_tuples_sample(size_t count) {
   uint32_t f = flags();
   if ((f & (kStatsFlag | kTraceFlag)) == 0) return;
-  bump_high_water(g_globals.pending_hw, count);
+  bump_high_water(g_globals[kPendingHighWater], count);
   if ((f & kTraceFlag) != 0) {
     record_event("pending.tuples", "gauge", 'C', now_ns(), 0, "value", count);
   }
@@ -827,36 +710,33 @@ int next_pool_id() {
 
 void pool_submit(int pool_id, uint64_t nchunks) {
   if (!telemetry_enabled()) return;
-  pool_counters(pool_id).submitted.fetch_add(nchunks,
-                                             std::memory_order_relaxed);
+  pool_counters(pool_id).fields[kSubmitted].fetch_add(
+      nchunks, std::memory_order_relaxed);
 }
 
 void pool_chunk(int pool_id, bool worker_lane) {
   if (!telemetry_enabled()) return;
   PoolCounters& c = pool_counters(pool_id);
-  c.chunks.fetch_add(1, std::memory_order_relaxed);
-  if (worker_lane) c.steals.fetch_add(1, std::memory_order_relaxed);
+  c.fields[kChunks].fetch_add(1, std::memory_order_relaxed);
+  if (worker_lane) c.fields[kSteals].fetch_add(1, std::memory_order_relaxed);
 }
 
 void pool_park(int pool_id, uint64_t wait_ns) {
   if (!telemetry_enabled()) return;
   PoolCounters& c = pool_counters(pool_id);
-  c.parks.fetch_add(1, std::memory_order_relaxed);
-  c.park_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-  // Surface park waits beside lock waits in the contention profile:
-  // a worker parked for long stretches under load is the same signal
-  // class as a hot mutex.
-  lock_wait("ThreadPool::park", wait_ns);
+  c.fields[kParks].fetch_add(1, std::memory_order_relaxed);
+  c.fields[kParkNs].fetch_add(wait_ns, std::memory_order_relaxed);
 }
 
 void pool_busy_enter(int pool_id) {
   uint32_t f = flags();
   if ((f & (kStatsFlag | kTraceFlag)) == 0) return;
   PoolCounters& c = pool_counters(pool_id);
-  uint64_t busy = c.busy.fetch_add(1, std::memory_order_relaxed) + 1;
-  bump_high_water(c.busy_hw, busy);
+  uint64_t busy =
+      c.fields[kBusy].fetch_add(1, std::memory_order_relaxed) + 1;
+  bump_high_water(c.fields[kBusyHighWater], busy);
   uint64_t total =
-      g_globals.pool_busy.fetch_add(1, std::memory_order_relaxed) + 1;
+      g_globals[kPoolBusy].fetch_add(1, std::memory_order_relaxed) + 1;
   if ((f & kTraceFlag) != 0) {
     record_event("pool.busy", "gauge", 'C', now_ns(), 0, "value", total);
   }
@@ -865,9 +745,10 @@ void pool_busy_enter(int pool_id) {
 void pool_busy_exit(int pool_id) {
   uint32_t f = flags();
   if ((f & (kStatsFlag | kTraceFlag)) == 0) return;
-  pool_counters(pool_id).busy.fetch_sub(1, std::memory_order_relaxed);
+  pool_counters(pool_id).fields[kBusy].fetch_sub(1,
+                                                 std::memory_order_relaxed);
   uint64_t total =
-      g_globals.pool_busy.fetch_sub(1, std::memory_order_relaxed) - 1;
+      g_globals[kPoolBusy].fetch_sub(1, std::memory_order_relaxed) - 1;
   if ((f & kTraceFlag) != 0) {
     record_event("pool.busy", "gauge", 'C', now_ns(), 0, "value", total);
   }
@@ -878,18 +759,19 @@ void pool_busy_exit(int pool_id) {
 void lock_acquired(const char* site) {
   if (!stats_enabled()) return;
   LockSiteSlot* s = lock_site_slot(site);
-  if (s != nullptr) s->acquires.fetch_add(1, std::memory_order_relaxed);
+  if (s != nullptr)
+    s->fields[kAcquires].fetch_add(1, std::memory_order_relaxed);
 }
 
 void lock_wait(const char* site, uint64_t wait_ns) {
   if (!stats_enabled()) return;
   LockSiteSlot* s = lock_site_slot(site);
   if (s == nullptr) return;
-  s->acquires.fetch_add(1, std::memory_order_relaxed);
-  s->contended.fetch_add(1, std::memory_order_relaxed);
-  s->wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
+  s->fields[kAcquires].fetch_add(1, std::memory_order_relaxed);
+  s->fields[kContended].fetch_add(1, std::memory_order_relaxed);
+  s->fields[kWaitNs].fetch_add(wait_ns, std::memory_order_relaxed);
   s->hist[hist_bucket(wait_ns)].fetch_add(1, std::memory_order_relaxed);
-  bump_high_water(s->max_wait_ns, wait_ns);
+  bump_high_water(s->fields[kMaxWaitNs], wait_ns);
 }
 
 // --- stall table + watchdog -------------------------------------------------
@@ -966,717 +848,580 @@ void stats_reset() {
   std::lock_guard<std::mutex> lock(reg_mu());
   for (auto& ckv : ctx_registry())
     for (auto& okv : ckv.second.ops) okv.second->reset();
-  for (auto& kv : pool_registry()) kv.second->reset();
+  for (auto& kv : pool_registry())
+    for (int f = 0; f < kBusy; ++f)
+      kv.second->fields[f].store(0, std::memory_order_relaxed);
   lock_sites_reset();
   g_watchdog_trips.store(0, std::memory_order_relaxed);
-  g_globals.queue_enqueued = 0;
-  g_globals.queue_hw = 0;
-  g_globals.queue_drained = 0;
-  g_globals.pending_hw = 0;
-  g_globals.spgemm_rows_hash = 0;
-  g_globals.spgemm_rows_dense = 0;
-  g_globals.spgemm_flops_est = 0;
-  g_globals.arena_hits = 0;
-  g_globals.arena_misses = 0;
-  g_globals.fusion_chains = 0;
-  g_globals.fusion_ops_fused = 0;
-  g_globals.fusion_dead_writes = 0;
-  g_globals.format_switches = 0;
-  g_globals.format_trans_hits = 0;
-  g_globals.format_trans_misses = 0;
-  g_globals.format_csr_conversions = 0;
-  // trace_events / trace_dropped reset with the trace buffer, and the
-  // pool_busy live gauge belongs to in-flight parallel_for calls.
+  for (int g = 0; g < kResetGlobals; ++g)
+    g_globals[g].store(0, std::memory_order_relaxed);
   decision_reset();
   prof_reset();
 }
 
+// --- the metric table -------------------------------------------------------
+// The rows of this module; the decision audit and the profiler contribute
+// their own.  The read surfaces below are views of one walk over them.
+
 namespace {
 
-struct AggField {
-  const char* name;
-  uint64_t value;
-};
+constexpr auto kCounter = MetricKind::kCounter;
+constexpr auto kGauge = MetricKind::kGauge;
+constexpr auto kSummary = MetricKind::kSummary;
 
-// The per-op fields, in stats_json order.
-std::vector<AggField> agg_fields(const OpAgg& a) {
-  return {{"calls", a.calls},       {"ns", a.ns},
-          {"errors", a.errors},     {"scalars", a.scalars},
-          {"flops", a.flops},       {"serial", a.serial},
-          {"parallel", a.parallel}, {"deferred", a.deferred},
-          {"deferred_ns", a.deferred_ns}};
-}
-
-struct FieldRef {
-  const char* name;
-  const std::atomic<uint64_t>* value;
-};
-
-std::vector<FieldRef> pool_fields(const PoolCounters& c) {
-  return {{"submitted", &c.submitted},
-          {"chunks", &c.chunks},
-          {"steals", &c.steals},
-          {"parks", &c.parks},
-          {"park_ns", &c.park_ns},
-          {"busy_high_water", &c.busy_hw}};
-}
-
-// Memory / flight-recorder / watchdog gauges are function-backed, not
-// stored atomics; one table serves stats_get, stats_json and the
-// exposition.
-struct FnGauge {
-  const char* name;
-  uint64_t (*value)();
-};
-
-uint64_t watchdog_deadline_ms_now() {
+template <int G>
+uint64_t global_value(const Process&) { return ld(g_globals[G]); }
+template <uint64_t (*F)()>
+uint64_t fn_value(const Process&) { return F(); }
+uint64_t watchdog_deadline_ms(const Process&) {
   return g_watchdog_deadline_ns.load(std::memory_order_relaxed) / 1000000u;
 }
+template <int F>
+uint64_t op_value(const OpAgg& a) { return a.fields[F]; }
+uint64_t op_total_ns(const OpAgg& a) {
+  return a.fields[kNs] + a.fields[kDeferredNs];
+}
+template <int F>
+uint64_t pool_value(const PoolCounters& c) { return ld(c.fields[F]); }
+template <int F>
+uint64_t lock_value(const LockAgg& a) { return a.fields[F]; }
+template <class A, int Pct>
+uint64_t quantile_value(const A& a) { return a.quantile(Pct); }
+template <class A>
+uint64_t samples_value(const A& a) { return a.samples(); }
+template <class A>
+uint64_t max_value(const A& a) { return a.max_ns; }
 
-const FnGauge kFnGauges[] = {
-    {"mem.live_bytes", &mem_live_total},
-    {"mem.peak_bytes", &mem_peak_total},
-    {"mem.arena_live_bytes", &mem_arena_live},
-    {"mem.arena_peak_bytes", &mem_arena_peak},
-    {"mem.objects", &mem_object_count},
-    {"flight.events", &fr_event_count},
-    {"flight.overwrites", &fr_overwrites},
-    {"flight.capacity", &fr_capacity},
-    {"watchdog.trips", &watchdog_trips},
-    {"watchdog.deadline_ms", &watchdog_deadline_ms_now},
+const Metric<Process> kGlobalMetrics[] = {
+    {"queue.enqueued", "grb_queue_enqueued_total", "", kCounter,
+     "Deferred methods enqueued.", &global_value<kQueueEnqueued>},
+    {"queue.high_water", "grb_queue_high_water", "", kGauge,
+     "Deepest deferred queue observed.", &global_value<kQueueHighWater>},
+    {"queue.drained", "grb_queue_drained_total", "", kCounter,
+     "Deferred methods drained by completion.", &global_value<kQueueDrained>},
+    {"pending.high_water", "grb_pending_tuples_high_water", "", kGauge,
+     "Most pending tuples on one object.", &global_value<kPendingHighWater>},
+    {"trace.events", "grb_trace_events_total", "", kCounter,
+     "Spans recorded into the trace buffer.", &global_value<kTraceEvents>},
+    {"trace.dropped", "grb_trace_dropped_total", "", kCounter,
+     "Spans dropped by the capped trace buffer.", &global_value<kTraceDropped>},
+    {"spgemm.rows_hash", "grb_spgemm_rows_total", "accumulator=\"hash\"",
+     kCounter, "SpGEMM output rows by accumulator.",
+     &global_value<kSpgemmRowsHash>},
+    {"spgemm.rows_dense", "grb_spgemm_rows_total", "accumulator=\"dense\"",
+     kCounter, "", &global_value<kSpgemmRowsDense>},
+    {"spgemm.flops_estimated", "grb_spgemm_flops_estimated_total", "", kCounter,
+     "Symbolic-pass flop estimates.", &global_value<kSpgemmFlopsEst>},
+    {"arena.reuse_hits", "grb_arena_reuse_total", "outcome=\"hit\"", kCounter,
+     "Scratch-arena requests by reuse outcome.", &global_value<kArenaHits>},
+    {"arena.reuse_misses", "grb_arena_reuse_total", "outcome=\"miss\"",
+     kCounter, "", &global_value<kArenaMisses>},
+    {"fusion.chains", "grb_fusion_chains_total", "", kCounter,
+     "Fused chains selected by the planner.", &global_value<kFusionChains>},
+    {"fusion.ops_fused", "grb_fusion_ops_fused_total", "", kCounter,
+     "Nodes run inside fused chains.", &global_value<kFusionOpsFused>},
+    {"fusion.dead_writes_eliminated", "grb_fusion_dead_writes_eliminated_total",
+     "", kCounter, "Dead deferred writes eliminated.",
+     &global_value<kFusionDeadWrites>},
+    {"format.switches", "grb_format_switches_total", "", kCounter,
+     "Publish-time storage-format conversions.",
+     &global_value<kFormatSwitches>},
+    {"format.transpose_cache_hits", "grb_format_transpose_cache_total",
+     "outcome=\"hit\"", kCounter,
+     "Descriptor-transpose reads by cache outcome.",
+     &global_value<kFormatTransHits>},
+    {"format.transpose_cache_misses", "grb_format_transpose_cache_total",
+     "outcome=\"miss\"", kCounter, "", &global_value<kFormatTransMisses>},
+    {"format.csr_conversions", "grb_format_csr_conversions_total", "", kCounter,
+     "Lazy canonical-view expansions of non-CSR blocks.",
+     &global_value<kFormatCsrConversions>},
+    {"mem.live_bytes", "grb_memory_live_bytes", "", kGauge,
+     "Tracked bytes currently allocated.", &fn_value<&mem_live_total>},
+    {"mem.peak_bytes", "grb_memory_peak_bytes", "", kGauge,
+     "High-water mark of tracked bytes.", &fn_value<&mem_peak_total>},
+    {"mem.arena_live_bytes", "grb_arena_live_bytes", "", kGauge,
+     "Scratch-arena bytes currently held.", &fn_value<&mem_arena_live>},
+    {"mem.arena_peak_bytes", "grb_arena_peak_bytes", "", kGauge,
+     "Scratch-arena high-water mark.", &fn_value<&mem_arena_peak>},
+    {"mem.objects", "grb_objects", "", kGauge, "Live GrB containers.",
+     &fn_value<&mem_object_count>},
+    {"flight.events", "grb_flight_recorder_events_total", "", kCounter,
+     "Flight-recorder events ever recorded.", &fn_value<&fr_event_count>},
+    {"flight.overwrites", "grb_flight_recorder_overwrites_total", "", kCounter,
+     "Events lost to ring wrap.", &fn_value<&fr_overwrites>},
+    {"flight.capacity", "grb_flight_recorder_capacity", "", kGauge,
+     "Flight-recorder ring slots.", &fn_value<&fr_capacity>},
+    {"watchdog.trips", "grb_watchdog_trips_total", "", kCounter,
+     "Stall-watchdog deadline violations detected.",
+     &fn_value<&watchdog_trips>},
+    {"watchdog.deadline_ms", "grb_watchdog_deadline_ms", "", kGauge,
+     "Armed stall-watchdog deadline (0 = off).", &watchdog_deadline_ms},
 };
 
-// Histogram-derived per-op field names share one decoder.
-bool pick_hist_field(const char* field, const HistSummary& s,
-                     uint64_t* value) {
-  if (std::strcmp(field, "p50_ns") == 0) {
-    *value = s.p50;
-  } else if (std::strcmp(field, "p90_ns") == 0) {
-    *value = s.p90;
-  } else if (std::strcmp(field, "p99_ns") == 0) {
-    *value = s.p99;
-  } else if (std::strcmp(field, "max_ns") == 0) {
-    *value = s.max;
-  } else {
-    return false;
+// Per (context, op); GxB_Stats_get sums an op over every context.
+const Metric<OpAgg> kOpMetrics[] = {
+    {"calls", "grb_op_calls_total", "", kCounter,
+     "C API entry-point invocations.", &op_value<kCalls>},
+    {"ns", "grb_op_ns_total", "", kCounter, "Nanoseconds inside entry points.",
+     &op_value<kNs>},
+    {"errors", "grb_op_errors_total", "", kCounter,
+     "Entry points returning an error.", &op_value<kErrors>},
+    {"scalars", "grb_op_scalars_total", "", kCounter,
+     "Scalars written back by the op.", &op_value<kScalars>},
+    {"flops", "grb_op_flops_total", "", kCounter,
+     "Multiply work of mxm / mxv / vxm.", &op_value<kFlops>},
+    {"serial", "grb_op_path_total", "path=\"serial\"", kCounter,
+     "Serial-fallback gate decisions by path taken.", &op_value<kSerial>},
+    {"parallel", "grb_op_path_total", "path=\"parallel\"", kCounter, "",
+     &op_value<kParallel>},
+    {"deferred", "grb_op_deferred_total", "", kCounter,
+     "Deferred executions of queued methods.", &op_value<kDeferred>},
+    {"deferred_ns", "grb_op_deferred_ns_total", "", kCounter,
+     "Nanoseconds in deferred executions.", &op_value<kDeferredNs>},
+    {"p50_ns", "grb_op_latency_ns", "quantile=\"0.5\"", kSummary,
+     "Per-op latency by context (log2-bucket quantile upper bounds, clamped "
+     "to the max).", &quantile_value<OpAgg, 50>},
+    {"p90_ns", "grb_op_latency_ns", "quantile=\"0.9\"", kSummary, "",
+     &quantile_value<OpAgg, 90>},
+    {"p99_ns", "grb_op_latency_ns", "quantile=\"0.99\"", kSummary, "",
+     &quantile_value<OpAgg, 99>},
+    {"total_ns", "grb_op_latency_ns_sum", "", kSummary, "", &op_total_ns},
+    {"samples", "grb_op_latency_ns_count", "", kSummary, "",
+     &samples_value<OpAgg>},
+    {"max_ns", "grb_op_latency_max_ns", "", kGauge, "Exact worst-case latency.",
+     &max_value<OpAgg>},
+};
+
+// A live context (dead ones fold into their nearest live ancestor): its
+// ops, and the memory of the containers homed there.
+struct CtxView {
+  uint64_t parent = 0;
+  bool live = true;
+  CtxMemSlice mem;
+  std::map<std::string, OpAgg> ops;
+};
+
+const Metric<CtxView> kContextMetrics[] = {
+    {"mem.live_bytes", "grb_context_memory_live_bytes", "", kGauge,
+     "Tracked bytes homed in each context.",
+     [](const CtxView& c) { return c.mem.live_bytes; }},
+    {"mem.peak_bytes", "grb_context_memory_peak_bytes", "", kGauge,
+     "Sum of per-object peak bytes homed in each context.",
+     [](const CtxView& c) { return c.mem.peak_bytes; }},
+    {"mem.objects", "grb_context_objects", "", kGauge,
+     "Live GrB containers homed in each context.",
+     [](const CtxView& c) { return c.mem.objects; }},
+};
+
+const Metric<PoolCounters> kPoolMetrics[] = {
+    {"submitted", "grb_pool_chunks_submitted_total", "", kCounter,
+     "Chunks handed to parallel_for.", &pool_value<kSubmitted>},
+    {"chunks", "grb_pool_chunks_executed_total", "", kCounter,
+     "Chunks executed on any lane.", &pool_value<kChunks>},
+    {"steals", "grb_pool_steals_total", "", kCounter,
+     "Chunks executed by worker lanes.", &pool_value<kSteals>},
+    {"parks", "grb_pool_parks_total", "", kCounter,
+     "Idle episodes of pool workers.", &pool_value<kParks>},
+    {"park_ns", "grb_pool_park_ns_total", "", kCounter,
+     "Nanoseconds pool workers spent idle.", &pool_value<kParkNs>},
+    {"busy_high_water", "grb_pool_busy_high_water", "", kGauge,
+     "Most pool lanes running at once.", &pool_value<kBusyHighWater>},
+};
+
+const Metric<LockAgg> kLockMetrics[] = {
+    {"acquires", "grb_lock_acquisitions_total", "", kCounter,
+     "Scoped-lock acquisitions by site.", &lock_value<kAcquires>},
+    {"contended", "grb_lock_contended_total", "", kCounter,
+     "Acquisitions that blocked.", &lock_value<kContended>},
+    {"p50_ns", "grb_lock_wait_ns", "quantile=\"0.5\"", kSummary,
+     "Blocked-acquisition wait time by site (log2-bucket quantile upper "
+     "bounds, clamped to the max).", &quantile_value<LockAgg, 50>},
+    {"p90_ns", "grb_lock_wait_ns", "quantile=\"0.9\"", kSummary, "",
+     &quantile_value<LockAgg, 90>},
+    {"p99_ns", "grb_lock_wait_ns", "quantile=\"0.99\"", kSummary, "",
+     &quantile_value<LockAgg, 99>},
+    {"wait_ns", "grb_lock_wait_ns_sum", "", kSummary, "", &lock_value<kWaitNs>},
+    {"samples", "grb_lock_wait_ns_count", "", kSummary, "",
+     &samples_value<LockAgg>},
+    {"max_ns", "grb_lock_wait_max_ns", "", kGauge,
+     "Exact worst blocked wait by site.", &max_value<LockAgg>},
+};
+
+// --- dimensions -------------------------------------------------------------
+
+// Prometheus label-value escaping (exposition format 0.0.4): backslash,
+// double-quote and newline must be escaped inside label values.
+void prom_escape(std::string* out, std::string_view s) {
+  for (char c : s) {
+    if (c == '\\' || c == '"') out->push_back('\\');
+    if (c == '\n') {
+      out->append("\\n");
+    } else {
+      out->push_back(c);
+    }
   }
+}
+
+// Appends key="value" to a label body.
+std::string label(const char* key, std::string_view value,
+                  std::string body = {}) {
+  if (!body.empty()) body.push_back(',');
+  body.append(key).append("=\"");
+  prom_escape(&body, value);
+  body.push_back('"');
+  return body;
+}
+
+// One member of a dimension: its get-name segment, the JSON object its
+// rows land in, its Prometheus labels, the context of its stats_get_ctx
+// spelling (-1: none), and what the rows read.
+template <class T>
+struct Instance {
+  std::string key;
+  std::vector<std::string> path;
+  std::string labels;
+  const T* value;
+  int64_t ctx = -1;
+};
+template <class T>
+using Instances = std::vector<Instance<T>>;
+
+// Everything the read surfaces show, read once: memory slices first
+// (obj_mu strictly before reg_mu), profiler regions, then the registry.
+struct Snapshot {
+  std::map<uint64_t, CtxView> contexts;
+  std::map<std::string, OpAgg> ops;  // merged over contexts
+  std::map<int, const PoolCounters*> pools;
+  std::map<std::string, LockAgg> locks;
+  std::vector<ProfRegion> prof;
+};
+
+// `trim_zero_rows` drops all-zero op rows and contexts left with
+// neither ops nor memory.
+Snapshot take_snapshot(bool trim_zero_rows) {
+  Snapshot s;
+  std::vector<CtxMemSlice> mem = mem_by_ctx();
+  s.prof = prof_regions();
+  s.locks = lock_view();
+  std::lock_guard<std::mutex> lock(reg_mu());
+  for (auto& [id, entry] : ctx_registry()) {
+    if (entry.ops.empty()) continue;
+    CtxView& c = s.contexts[resolve_live(id)];
+    for (auto& [op, counters] : entry.ops) c.ops[op].add(*counters);
+  }
+  for (const CtxMemSlice& sl : mem) {
+    CtxMemSlice& dst = s.contexts[resolve_live(sl.ctx)].mem;
+    dst.live_bytes += sl.live_bytes;
+    dst.peak_bytes += sl.peak_bytes;
+    dst.objects += sl.objects;
+  }
+  for (auto it = s.contexts.begin(); it != s.contexts.end();) {
+    CtxView& c = it->second;
+    auto reg = ctx_registry().find(it->first);
+    if (reg != ctx_registry().end()) {
+      c.parent = reg->second.parent;
+      c.live = !reg->second.dead;
+    }
+    if (trim_zero_rows)
+      std::erase_if(c.ops, [](const auto& kv) { return kv.second.all_zero(); });
+    for (const auto& [op, a] : c.ops) s.ops[op].merge(a);
+    bool empty = c.ops.empty() && c.mem.live_bytes == 0 && c.mem.objects == 0;
+    it = trim_zero_rows && empty ? s.contexts.erase(it) : std::next(it);
+  }
+  for (auto& [id, p] : pool_registry()) s.pools[id] = p.get();
+  return s;
+}
+
+// Get-only profiler names: the region count ("regions_total" in the
+// JSON) and the backend id (a label in the exposition).
+uint64_t prof_region_total(const Snapshot& s) {
+  uint64_t n = 0;
+  for (const ProfRegion& r : s.prof) n += r.n[kProfCount];
+  return n;
+}
+const Metric<Snapshot> kProfAliases[] = {
+    {"regions", "", "", kCounter, "", &prof_region_total},
+    {"backend", "", "", kGauge, "",
+     [](const Snapshot&) { return static_cast<uint64_t>(prof_backend()); }},
+};
+
+// --- the walk ---------------------------------------------------------------
+// Reads every row for every instance of its dimension, row-major so a
+// Prometheus family's samples stay contiguous; the surfaces visit it.
+// A dimension's `get_prefix` starts its get names, `json` / `prom` say
+// whether the document / exposition carry it, and with `totals` a bare
+// "<prefix><field>" names a counter's sum over the instances.
+struct Dim {
+  std::string_view get_prefix;
+  bool json = true;
+  bool prom = true;
+  bool totals = false;
+};
+
+// visit(dim, row, &instance, value), or a nullptr instance for a total.
+template <class T, class Visit>
+void visit_rows(const Dim& d, MetricTable<T> rows, const Instances<T>& insts,
+                Visit& visit) {
+  for (const Metric<T>& m : rows) {
+    uint64_t total = 0;
+    for (const Instance<T>& in : insts) {
+      const uint64_t value = m.read(*in.value);
+      total += value;
+      visit(d, m, &in, value);
+    }
+    if (d.totals && m.kind != kSummary)
+      visit(d, m, static_cast<const Instance<T>*>(nullptr), total);
+  }
+}
+
+template <class Visit>
+void walk(const Snapshot& s, Visit&& visit) {
+  static const Process kProcess;
+  const Instances<Process> process = {{"", {"global"}, "", &kProcess}};
+  visit_rows<Process>({""}, kGlobalMetrics, process, visit);
+
+  Instances<OpAgg> flat, by_ctx;
+  Instances<CtxView> contexts;
+  for (const auto& [op, a] : s.ops) flat.push_back({op, {"ops", op}, "", &a});
+  for (const auto& [id, c] : s.contexts) {
+    std::string key = std::to_string(id);
+    auto ctx = static_cast<int64_t>(id);
+    contexts.push_back({"", {"contexts", key}, label("context", key), &c, ctx});
+    for (const auto& [op, a] : c.ops)
+      by_ctx.push_back({op, {"contexts", key, "ops", op},
+                        label("context", key, label("op", op)), &a, ctx});
+  }
+  visit_rows<OpAgg>({"", true, false}, kOpMetrics, flat, visit);
+  visit_rows<OpAgg>({""}, kOpMetrics, by_ctx, visit);
+  visit_rows<CtxView>({""}, kContextMetrics, contexts, visit);
+
+  Instances<PoolCounters> pools;
+  for (const auto& [id, p] : s.pools) {
+    std::string key = std::to_string(id);
+    pools.push_back({key, {"pools", key}, label("pool", key), p});
+  }
+  visit_rows<PoolCounters>({"pool.", true, true, true}, kPoolMetrics, pools,
+                           visit);
+
+  Instances<LockAgg> locks;
+  for (const auto& [site, a] : s.locks)
+    locks.push_back({site, {"locks", site}, label("site", site), &a});
+  visit_rows<LockAgg>({"lock.", true, true, true}, kLockMetrics, locks, visit);
+
+  const Instances<Process> ring = {{"", {"decisions"}, "", &kProcess}};
+  visit_rows<Process>({"decision."}, decision_ring_metrics(), ring, visit);
+  static const auto kSites = [] {
+    std::array<DecisionSite, kDecisionSiteCount> a{};
+    for (int i = 0; i < kDecisionSiteCount; ++i)
+      a[i] = static_cast<DecisionSite>(i);
+    return a;
+  }();
+  Instances<DecisionSite> sites;
+  for (const DecisionSite& site : kSites) {
+    const char* name = decision_site_name(site);
+    sites.push_back({name, {"decisions", "sites", name}, label("site", name),
+                     &site});
+  }
+  visit_rows<DecisionSite>({"decision.", true, true, true},
+                           decision_site_metrics(), sites, visit);
+
+  // Regions are keyed by position, as in the JSON "prof.regions" array.
+  Instances<ProfRegion> regions;
+  for (size_t i = 0; i < s.prof.size(); ++i) {
+    const ProfRegion& r = s.prof[i];
+    std::string key = std::to_string(i);
+    regions.push_back({key, {"prof", "regions", key},
+                       label("context", std::to_string(r.ctx),
+                             label("strategy", r.strategy, label("op", r.op))),
+                       &r});
+  }
+  visit_rows<ProfRegion>({"prof.", true, true, true}, prof_region_metrics(),
+                         regions, visit);
+  visit_rows<Snapshot>({"prof.", false, false}, kProfAliases,
+                       {{"", {}, "", &s}}, visit);
+}
+
+bool strip_prefix(std::string_view* s, std::string_view prefix) {
+  if (!s->starts_with(prefix)) return false;
+  s->remove_prefix(prefix.size());
   return true;
 }
 
-bool agg_field_get(const OpAgg& a, const char* field, uint64_t* value) {
-  for (const AggField& f : agg_fields(a)) {
-    if (std::strcmp(field, f.name) == 0) {
-      *value = f.value;
-      return true;
+// Looks `name` up among the cells of context `ctx` (-1: the
+// process-wide spellings), comparing it piece by piece.
+bool find_cell(const Snapshot& s, int64_t ctx, const char* name,
+               uint64_t* value) {
+  *value = 0;
+  bool found = false;
+  walk(s, [&](const Dim& d, const auto& m, const auto* in, uint64_t v) {
+    std::string_view rest = name == nullptr ? "" : name;
+    if (found || (in != nullptr ? in->ctx : -1) != ctx ||
+        !strip_prefix(&rest, d.get_prefix))
+      return;
+    if (in != nullptr && !in->key.empty() &&
+        !(strip_prefix(&rest, in->key) && strip_prefix(&rest, ".")))
+      return;
+    if (rest != m.name) return;
+    *value = v;
+    found = true;
+  });
+  return found;
+}
+
+constexpr const char* kTypeName[] = {"counter", "gauge", "summary"};
+
+// family{instance labels,row labels}
+template <class T>
+std::string prom_series(const Metric<T>& m, const Instance<T>& in) {
+  std::string series = m.family;
+  if (in.labels.empty() && m.labels[0] == '\0') return series;
+  series.append("{").append(in.labels);
+  if (!in.labels.empty() && m.labels[0] != '\0') series.push_back(',');
+  return series.append(m.labels).append("}");
+}
+
+// --- JSON -------------------------------------------------------------------
+
+void json_escape(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out->append(buf);
+    } else {
+      out->push_back(c);
     }
   }
-  return pick_hist_field(field, a.summarize(), value);
+  out->push_back('"');
 }
+
+// stats_json's document: a leaf holds its rendered value, an object or
+// array its members in first-insertion order.
+struct JsonNode {
+  std::string leaf;
+  bool array = false;
+  std::vector<std::string> keys;
+  std::vector<JsonNode> members;
+
+  JsonNode& at(std::string_view key) {
+    for (size_t i = 0; i < keys.size(); ++i)
+      if (keys[i] == key) return members[i];
+    keys.emplace_back(key);
+    return members.emplace_back();
+  }
+  JsonNode& at(const std::vector<std::string>& path) {
+    JsonNode* n = this;
+    for (const std::string& key : path) n = &n->at(key);
+    return *n;
+  }
+
+  void render(std::string* out) const {
+    if (!leaf.empty()) {
+      out->append(leaf);
+      return;
+    }
+    out->push_back(array ? '[' : '{');
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (i > 0) out->push_back(',');
+      if (!array) {
+        json_escape(out, keys[i]);
+        out->push_back(':');
+      }
+      members[i].render(out);
+    }
+    out->push_back(array ? ']' : '}');
+  }
+};
 
 }  // namespace
 
+std::vector<MetricCell> metric_cells() {
+  std::vector<MetricCell> cells;
+  walk(take_snapshot(false),
+       [&](const Dim& d, const auto& m, const auto* in, uint64_t v) {
+         MetricCell c{std::string(d.get_prefix), -1, {}, "", v};
+         if (in != nullptr) {
+           if (!in->key.empty()) c.get_name.append(in->key).push_back('.');
+           c.get_ctx = in->ctx;
+           if (d.json) c.json_path = in->path;
+           if (d.json) c.json_path.emplace_back(m.name);
+           if (d.prom) c.prom_series = prom_series(m, *in);
+         }
+         c.get_name.append(m.name);
+         cells.push_back(std::move(c));
+       });
+  return cells;
+}
+
 bool stats_get(const char* name, uint64_t* value) {
-  *value = 0;
-  if (name == nullptr) return false;
-  for (const auto& g : kFnGauges) {
-    if (std::strcmp(name, g.name) == 0) {
-      *value = g.value();
-      return true;
-    }
-  }
-  // Globals first.
-  struct GlobalRef {
-    const char* name;
-    const std::atomic<uint64_t>* value;
-  };
-  const GlobalRef globals[] = {
-      {"queue.enqueued", &g_globals.queue_enqueued},
-      {"queue.high_water", &g_globals.queue_hw},
-      {"queue.drained", &g_globals.queue_drained},
-      {"pending.high_water", &g_globals.pending_hw},
-      {"trace.events", &g_globals.trace_events},
-      {"trace.dropped", &g_globals.trace_dropped},
-      {"spgemm.rows_hash", &g_globals.spgemm_rows_hash},
-      {"spgemm.rows_dense", &g_globals.spgemm_rows_dense},
-      {"spgemm.flops_estimated", &g_globals.spgemm_flops_est},
-      {"arena.reuse_hits", &g_globals.arena_hits},
-      {"arena.reuse_misses", &g_globals.arena_misses},
-      {"fusion.chains", &g_globals.fusion_chains},
-      {"fusion.ops_fused", &g_globals.fusion_ops_fused},
-      {"fusion.dead_writes_eliminated", &g_globals.fusion_dead_writes},
-      {"format.switches", &g_globals.format_switches},
-      {"format.transpose_cache_hits", &g_globals.format_trans_hits},
-      {"format.transpose_cache_misses", &g_globals.format_trans_misses},
-      {"format.csr_conversions", &g_globals.format_csr_conversions},
-  };
-  for (const auto& g : globals) {
-    if (std::strcmp(name, g.name) == 0) {
-      *value = ld(*g.value);
-      return true;
-    }
-  }
-  // Per-site lock contention: "lock.<site>.<field>" (site may itself
-  // contain "::" but never a dot; the last dot splits the field).
-  if (std::strncmp(name, "lock.", 5) == 0) {
-    const char* dot = std::strrchr(name + 5, '.');
-    if (dot == nullptr || dot == name + 5) return false;
-    std::string site(name + 5, static_cast<size_t>(dot - (name + 5)));
-    auto view = lock_view();
-    auto it = view.find(site);
-    if (it == view.end()) return false;
-    const char* field = dot + 1;
-    const LockAgg& a = it->second;
-    if (std::strcmp(field, "acquires") == 0) {
-      *value = a.acquires;
-      return true;
-    }
-    if (std::strcmp(field, "contended") == 0) {
-      *value = a.contended;
-      return true;
-    }
-    if (std::strcmp(field, "wait_ns") == 0) {
-      *value = a.wait_ns;
-      return true;
-    }
-    return pick_hist_field(field, a.summarize(), value);
-  }
-  // Decision-audit and profiler counters live in their own modules;
-  // forward by prefix before the per-op fallback can mistake
-  // "decision.exec_path.records" for an op named "decision.exec_path".
-  if (std::strncmp(name, "decision.", 9) == 0)
-    return decision_stats_get(name, value);
-  if (std::strncmp(name, "prof.", 5) == 0) return prof_stats_get(name, value);
-  std::lock_guard<std::mutex> lock(reg_mu());
-  // Pool aggregates: "pool.<field>" sums over every pool.
-  if (std::strncmp(name, "pool.", 5) == 0) {
-    const char* field = name + 5;
-    bool known = false;
-    uint64_t sum = 0;
-    for (auto& kv : pool_registry()) {
-      for (const auto& f : pool_fields(*kv.second)) {
-        if (std::strcmp(field, f.name) == 0) {
-          sum += ld(*f.value);
-          known = true;
-        }
-      }
-    }
-    if (!known) {
-      // Field-name check against a throwaway instance, so "pool.parks"
-      // resolves (to 0) even before any pool exists.
-      static const PoolCounters probe;
-      for (const auto& f : pool_fields(probe)) {
-        if (std::strcmp(field, f.name) == 0) known = true;
-      }
-    }
-    *value = sum;
-    return known;
-  }
-  // Per-op: "<op>.<field>", summed across every context.
-  const char* dot = std::strrchr(name, '.');
-  if (dot == nullptr || dot == name) return false;
-  std::string op(name, static_cast<size_t>(dot - name));
-  OpAgg agg;
-  if (!agg_op(op.c_str(), &agg)) return false;
-  return agg_field_get(agg, dot + 1, value);
+  return find_cell(take_snapshot(false), -1, name, value);
 }
 
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value) {
-  *value = 0;
-  if (name == nullptr) return false;
-  // Per-context memory: group raw object slices, then resolve dead home
-  // contexts to their nearest live ancestor.  mem_by_ctx takes obj_mu;
-  // keep it strictly before reg_mu (same order as everywhere else).
-  if (std::strncmp(name, "mem.", 4) == 0) {
-    auto slices = mem_by_ctx();
-    uint64_t live = 0, peak = 0, objects = 0;
-    {
-      std::lock_guard<std::mutex> lock(reg_mu());
-      for (const auto& sl : slices) {
-        if (resolve_live(sl.ctx) != ctx_id) continue;
-        live += sl.live_bytes;
-        peak += sl.peak_bytes;
-        objects += sl.objects;
-      }
-    }
-    if (std::strcmp(name, "mem.live_bytes") == 0) {
-      *value = live;
-      return true;
-    }
-    if (std::strcmp(name, "mem.peak_bytes") == 0) {
-      *value = peak;
-      return true;
-    }
-    if (std::strcmp(name, "mem.objects") == 0) {
-      *value = objects;
-      return true;
-    }
-    return false;
-  }
-  // Per-op within the context subtree (entries resolving here).
-  const char* dot = std::strrchr(name, '.');
-  if (dot == nullptr || dot == name) return false;
-  std::string op(name, static_cast<size_t>(dot - name));
-  std::lock_guard<std::mutex> lock(reg_mu());
-  OpAgg agg;
-  bool found = false;
-  for (auto& ckv : ctx_registry()) {
-    if (resolve_live(ckv.first) != ctx_id) continue;
-    auto it = ckv.second.ops.find(op);
-    if (it == ckv.second.ops.end()) continue;
-    agg.add(*it->second);
-    found = true;
-  }
-  if (!found) return false;
-  return agg_field_get(agg, dot + 1, value);
+  Snapshot s = take_snapshot(false);
+  s.contexts[ctx_id];  // a context nothing was attributed to still answers
+  return find_cell(s, static_cast<int64_t>(ctx_id), name, value);
 }
-
-namespace {
-
-void json_append_op_agg(std::string* out, const OpAgg& a) {
-  char buf[96];
-  out->push_back('{');
-  bool first = true;
-  for (const AggField& f : agg_fields(a)) {
-    if (!first) out->push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf, "\"%s\":%llu", f.name,
-                  static_cast<unsigned long long>(f.value));
-    out->append(buf);
-  }
-  HistSummary hs = a.summarize();
-  std::snprintf(buf, sizeof buf,
-                ",\"p50_ns\":%llu,\"p90_ns\":%llu,\"p99_ns\":%llu,"
-                "\"max_ns\":%llu",
-                static_cast<unsigned long long>(hs.p50),
-                static_cast<unsigned long long>(hs.p90),
-                static_cast<unsigned long long>(hs.p99),
-                static_cast<unsigned long long>(hs.max));
-  out->append(buf);
-  out->push_back('}');
-}
-
-// Row-trim predicate for stats_json(trim_zero_rows): an op aggregate
-// with no calls and no deferred residue carries no information, only
-// bytes (bench JSON lines grew past review-ability; see bench_util).
-bool op_agg_all_zero(const OpAgg& a) {
-  return a.calls == 0 && a.ns == 0 && a.errors == 0 && a.scalars == 0 &&
-         a.flops == 0 && a.serial == 0 && a.parallel == 0 &&
-         a.deferred == 0 && a.deferred_ns == 0 && a.max_ns == 0;
-}
-
-}  // namespace
 
 std::string stats_json(bool trim_zero_rows) {
-  // Memory slices first: obj_mu strictly before reg_mu.
-  auto mem_slices = mem_by_ctx();
-  std::lock_guard<std::mutex> lock(reg_mu());
-  auto view = ctx_view();
-  // Merge the per-context view into the flat per-op map the "ops"
-  // section has always reported.
-  std::map<std::string, OpAgg> flat;
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second) {
-      OpAgg& dst = flat[okv.first];
-      // OpAgg::add wants an OpCounters; merge the already-aggregated
-      // values directly instead.
-      dst.calls += okv.second.calls;
-      dst.ns += okv.second.ns;
-      dst.errors += okv.second.errors;
-      dst.scalars += okv.second.scalars;
-      dst.flops += okv.second.flops;
-      dst.serial += okv.second.serial;
-      dst.parallel += okv.second.parallel;
-      dst.deferred += okv.second.deferred;
-      dst.deferred_ns += okv.second.deferred_ns;
-      if (okv.second.max_ns > dst.max_ns) dst.max_ns = okv.second.max_ns;
-      for (int b = 0; b < kHistBuckets; ++b)
-        dst.counts[b] += okv.second.counts[b];
-    }
-  std::string out = "{\"ops\":{";
-  bool first = true;
-  char buf[96];
-  for (auto& kv : flat) {
-    if (trim_zero_rows && op_agg_all_zero(kv.second)) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    json_append_escaped(&out, kv.first.c_str());
-    out.append("\":");
-    json_append_op_agg(&out, kv.second);
+  Snapshot s = take_snapshot(trim_zero_rows);
+  // The blocks and the members that are not metrics come first; the
+  // cells fill in the rest.
+  JsonNode doc;
+  for (const char* block : {"ops", "global", "pools", "contexts", "locks"})
+    doc.at(block);
+  doc.at("decisions").at("enabled").leaf =
+      decision_enabled() ? "true" : "false";
+  JsonNode& prof = doc.at("prof");
+  json_escape(&prof.at("backend").leaf, prof_backend_name());
+  prof.at("enabled").leaf = prof_enabled() ? "true" : "false";
+  prof.at("regions_total").leaf = std::to_string(prof_region_total(s));
+  prof.at("regions").array = true;
+  for (const auto& [id, c] : s.contexts) {
+    JsonNode& ctx = doc.at("contexts").at(std::to_string(id));
+    ctx.at("parent").leaf = std::to_string(c.parent);
+    ctx.at("live").leaf = c.live ? "true" : "false";
+    ctx.at("ops");
   }
-  out.append("},\"global\":{");
-  std::snprintf(buf, sizeof buf, "\"queue.enqueued\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_enqueued)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"queue.high_water\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_hw)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"queue.drained\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.queue_drained)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"pending.high_water\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.pending_hw)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"trace.events\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.trace_events)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"trace.dropped\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.trace_dropped)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.rows_hash\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_rows_hash)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.rows_dense\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_rows_dense)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"spgemm.flops_estimated\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.spgemm_flops_est)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"arena.reuse_hits\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.arena_hits)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"arena.reuse_misses\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.arena_misses)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.chains\":%llu,",
-                static_cast<unsigned long long>(ld(g_globals.fusion_chains)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.ops_fused\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.fusion_ops_fused)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"fusion.dead_writes_eliminated\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.fusion_dead_writes)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.switches\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_switches)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_hits\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_trans_hits)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.transpose_cache_misses\":%llu,",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_trans_misses)));
-  out.append(buf);
-  std::snprintf(buf, sizeof buf, "\"format.csr_conversions\":%llu",
-                static_cast<unsigned long long>(
-                    ld(g_globals.format_csr_conversions)));
-  out.append(buf);
-  // Memory-attribution, flight-recorder and watchdog gauges
-  // (function-backed).
-  for (const auto& g : kFnGauges) {
-    std::snprintf(buf, sizeof buf, ",\"%s\":%llu", g.name,
-                  static_cast<unsigned long long>(g.value()));
-    out.append(buf);
+  for (size_t i = 0; i < s.prof.size(); ++i) {
+    JsonNode& r = prof.at("regions").at(std::to_string(i));
+    r.at("ctx").leaf = std::to_string(s.prof[i].ctx);
+    json_escape(&r.at("op").leaf, s.prof[i].op);
+    json_escape(&r.at("strategy").leaf, s.prof[i].strategy);
   }
-  out.append("},\"pools\":{");
-  first = true;
-  for (auto& kv : pool_registry()) {
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf, "\"%d\":{", kv.first);
-    out.append(buf);
-    bool ffirst = true;
-    for (const auto& f : pool_fields(*kv.second)) {
-      if (!ffirst) out.push_back(',');
-      ffirst = false;
-      std::snprintf(buf, sizeof buf, "\"%s\":%llu", f.name,
-                    static_cast<unsigned long long>(ld(*f.value)));
-      out.append(buf);
-    }
-    out.push_back('}');
-  }
-  // Per-context breakdown: ops attributed to each live context (dead
-  // contexts already folded into their nearest live ancestor) plus the
-  // memory currently homed there.
-  out.append("},\"contexts\":{");
-  first = true;
-  for (auto& ckv : view) {
-    uint64_t parent = 0;
-    bool live = true;
-    auto rit = ctx_registry().find(ckv.first);
-    if (rit != ctx_registry().end()) {
-      parent = rit->second.parent;
-      live = !rit->second.dead;
-    }
-    uint64_t mem_live = 0, mem_objects = 0;
-    for (const auto& sl : mem_slices) {
-      if (resolve_live(sl.ctx) != ckv.first) continue;
-      mem_live += sl.live_bytes;
-      mem_objects += sl.objects;
-    }
-    if (trim_zero_rows && mem_live == 0 && mem_objects == 0) {
-      bool any = false;
-      for (auto& okv : ckv.second)
-        if (!op_agg_all_zero(okv.second)) any = true;
-      if (!any) continue;
-    }
-    if (!first) out.push_back(',');
-    first = false;
-    std::snprintf(buf, sizeof buf,
-                  "\"%llu\":{\"parent\":%llu,\"live\":%s,"
-                  "\"mem.live_bytes\":%llu,\"mem.objects\":%llu,\"ops\":{",
-                  static_cast<unsigned long long>(ckv.first),
-                  static_cast<unsigned long long>(parent),
-                  live ? "true" : "false",
-                  static_cast<unsigned long long>(mem_live),
-                  static_cast<unsigned long long>(mem_objects));
-    out.append(buf);
-    bool ofirst = true;
-    for (auto& okv : ckv.second) {
-      if (trim_zero_rows && op_agg_all_zero(okv.second)) continue;
-      if (!ofirst) out.push_back(',');
-      ofirst = false;
-      out.push_back('"');
-      json_append_escaped(&out, okv.first.c_str());
-      out.append("\":");
-      json_append_op_agg(&out, okv.second);
-    }
-    out.append("}}");
-  }
-  // Per-site lock contention.
-  out.append("},\"locks\":{");
-  first = true;
-  for (auto& lkv : lock_view()) {
-    if (!first) out.push_back(',');
-    first = false;
-    HistSummary hs = lkv.second.summarize();
-    out.push_back('"');
-    json_append_escaped(&out, lkv.first.c_str());
-    char lbuf[192];
-    std::snprintf(lbuf, sizeof lbuf,
-                  "\":{\"acquires\":%llu,\"contended\":%llu,"
-                  "\"wait_ns\":%llu,\"p50_ns\":%llu,\"p99_ns\":%llu,"
-                  "\"max_ns\":%llu}",
-                  static_cast<unsigned long long>(lkv.second.acquires),
-                  static_cast<unsigned long long>(lkv.second.contended),
-                  static_cast<unsigned long long>(lkv.second.wait_ns),
-                  static_cast<unsigned long long>(hs.p50),
-                  static_cast<unsigned long long>(hs.p99),
-                  static_cast<unsigned long long>(hs.max));
-    out.append(lbuf);
-  }
-  // Decision-audit and hardware-profiler blocks (DESIGN.md §16): the
-  // two halves of the grb_prof_report.py join, shipped side by side.
-  out.append("},\"decisions\":");
-  out.append(decision_json());
-  out.append(",\"prof\":");
-  out.append(prof_json());
-  out.push_back('}');
+  walk(s, [&](const Dim& d, const auto& m, const auto* in, uint64_t v) {
+    if (d.json && in != nullptr)
+      doc.at(in->path).at(m.name).leaf = std::to_string(v);
+  });
+  std::string out;
+  doc.render(&out);
   return out;
 }
 
 std::string stats_prometheus() {
-  // Memory slices first: obj_mu strictly before reg_mu.
-  auto mem_slices = mem_by_ctx();
-  std::lock_guard<std::mutex> lock(reg_mu());
-  auto view = ctx_view();
   std::string out;
-  char buf[128];
-  // series emitter: metric name, then a fully-formed label body (no
-  // braces; may be empty), then the value.
-  auto series = [&](const char* metric, const std::string& labels,
-                    uint64_t v) {
-    out.append(metric);
-    if (!labels.empty()) {
-      out.push_back('{');
-      out.append(labels);
-      out.push_back('}');
-    }
-    std::snprintf(buf, sizeof buf, " %llu\n",
-                  static_cast<unsigned long long>(v));
-    out.append(buf);
-  };
-  auto op_ctx_labels = [&](const char* op, uint64_t ctx,
-                           const char* extra) -> std::string {
-    std::string l = "op=\"";
-    prom_append_escaped(&l, op);
-    std::snprintf(buf, sizeof buf, "\",context=\"%llu\"",
-                  static_cast<unsigned long long>(ctx));
-    l.append(buf);
-    if (extra[0] != '\0') {
-      l.push_back(',');
-      l.append(extra);
-    }
-    return l;
-  };
-  auto ctx_labels = [&](uint64_t ctx) -> std::string {
-    std::snprintf(buf, sizeof buf, "context=\"%llu\"",
-                  static_cast<unsigned long long>(ctx));
-    return std::string(buf);
-  };
-  out.append("# HELP grb_op_calls_total C API entry-point invocations.\n"
-             "# TYPE grb_op_calls_total counter\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_calls_total",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.calls);
-  out.append("# HELP grb_op_errors_total Entry points returning an error.\n"
-             "# TYPE grb_op_errors_total counter\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_errors_total",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.errors);
-  // Per-(op, context) latency as a Prometheus summary: quantile series
-  // from the log2 histograms (upper-bound estimates), exact
-  // sum/count/max.
-  out.append("# HELP grb_op_latency_ns Per-op latency by context "
-             "(log2-bucket quantile upper bounds).\n"
-             "# TYPE grb_op_latency_ns summary\n");
-  for (auto& ckv : view) {
-    for (auto& okv : ckv.second) {
-      const char* op = okv.first.c_str();
-      HistSummary hs = okv.second.summarize();
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.5\""), hs.p50);
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.9\""), hs.p90);
-      series("grb_op_latency_ns",
-             op_ctx_labels(op, ckv.first, "quantile=\"0.99\""), hs.p99);
-      series("grb_op_latency_ns_sum", op_ctx_labels(op, ckv.first, ""),
-             okv.second.ns + okv.second.deferred_ns);
-      series("grb_op_latency_ns_count", op_ctx_labels(op, ckv.first, ""),
-             hs.count);
-    }
-  }
-  out.append("# HELP grb_op_latency_max_ns Exact worst-case latency.\n"
-             "# TYPE grb_op_latency_max_ns gauge\n");
-  for (auto& ckv : view)
-    for (auto& okv : ckv.second)
-      series("grb_op_latency_max_ns",
-             op_ctx_labels(okv.first.c_str(), ckv.first, ""),
-             okv.second.max_ns);
-  // Per-context memory attribution (dead home contexts resolved to
-  // their nearest live ancestor at read time).
-  out.append("# HELP grb_context_memory_live_bytes Tracked bytes homed in "
-             "each context.\n"
-             "# TYPE grb_context_memory_live_bytes gauge\n");
-  {
-    std::map<uint64_t, CtxMemSlice> by_ctx;
-    for (const auto& sl : mem_slices) {
-      CtxMemSlice& dst = by_ctx[resolve_live(sl.ctx)];
-      dst.live_bytes += sl.live_bytes;
-      dst.peak_bytes += sl.peak_bytes;
-      dst.objects += sl.objects;
-    }
-    for (auto& kv : by_ctx)
-      series("grb_context_memory_live_bytes", ctx_labels(kv.first),
-             kv.second.live_bytes);
-    out.append("# HELP grb_context_objects Live GrB containers homed in "
-               "each context.\n"
-               "# TYPE grb_context_objects gauge\n");
-    for (auto& kv : by_ctx)
-      series("grb_context_objects", ctx_labels(kv.first),
-             kv.second.objects);
-  }
-  out.append("# HELP grb_memory_live_bytes Tracked bytes currently "
-             "allocated.\n"
-             "# TYPE grb_memory_live_bytes gauge\n");
-  series("grb_memory_live_bytes", "", mem_live_total());
-  out.append("# HELP grb_memory_peak_bytes High-water mark of tracked "
-             "bytes.\n"
-             "# TYPE grb_memory_peak_bytes gauge\n");
-  series("grb_memory_peak_bytes", "", mem_peak_total());
-  out.append("# HELP grb_arena_live_bytes Scratch-arena bytes currently "
-             "held.\n"
-             "# TYPE grb_arena_live_bytes gauge\n");
-  series("grb_arena_live_bytes", "", mem_arena_live());
-  out.append("# HELP grb_arena_peak_bytes Scratch-arena high-water mark.\n"
-             "# TYPE grb_arena_peak_bytes gauge\n");
-  series("grb_arena_peak_bytes", "", mem_arena_peak());
-  out.append("# HELP grb_objects Live GrB containers.\n"
-             "# TYPE grb_objects gauge\n");
-  series("grb_objects", "", mem_object_count());
-  // Per-site lock contention.
-  {
-    auto locks = lock_view();
-    auto site_labels = [&](const std::string& site,
-                           const char* extra) -> std::string {
-      std::string l = "site=\"";
-      prom_append_escaped(&l, site.c_str());
-      l.push_back('"');
-      if (extra[0] != '\0') {
-        l.push_back(',');
-        l.append(extra);
-      }
-      return l;
-    };
-    out.append("# HELP grb_lock_acquisitions_total Scoped-lock "
-               "acquisitions by site.\n"
-               "# TYPE grb_lock_acquisitions_total counter\n");
-    for (auto& kv : locks)
-      series("grb_lock_acquisitions_total", site_labels(kv.first, ""),
-             kv.second.acquires);
-    out.append("# HELP grb_lock_contended_total Acquisitions that "
-               "blocked.\n"
-               "# TYPE grb_lock_contended_total counter\n");
-    for (auto& kv : locks)
-      series("grb_lock_contended_total", site_labels(kv.first, ""),
-             kv.second.contended);
-    out.append("# HELP grb_lock_wait_ns Blocked-acquisition wait time by "
-               "site (log2-bucket quantile upper bounds).\n"
-               "# TYPE grb_lock_wait_ns summary\n");
-    for (auto& kv : locks) {
-      HistSummary hs = kv.second.summarize();
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.5\""),
-             hs.p50);
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.9\""),
-             hs.p90);
-      series("grb_lock_wait_ns", site_labels(kv.first, "quantile=\"0.99\""),
-             hs.p99);
-      series("grb_lock_wait_ns_sum", site_labels(kv.first, ""),
-             kv.second.wait_ns);
-      series("grb_lock_wait_ns_count", site_labels(kv.first, ""), hs.count);
-    }
-    out.append("# HELP grb_lock_wait_max_ns Exact worst blocked wait by "
-               "site.\n"
-               "# TYPE grb_lock_wait_max_ns gauge\n");
-    for (auto& kv : locks)
-      series("grb_lock_wait_max_ns", site_labels(kv.first, ""),
-             kv.second.max_ns);
-  }
-  out.append("# HELP grb_watchdog_trips_total Stall-watchdog deadline "
-             "violations detected.\n"
-             "# TYPE grb_watchdog_trips_total counter\n");
-  series("grb_watchdog_trips_total", "", watchdog_trips());
-  out.append("# HELP grb_flight_recorder_events_total Flight-recorder "
-             "events ever recorded.\n"
-             "# TYPE grb_flight_recorder_events_total counter\n");
-  series("grb_flight_recorder_events_total", "", fr_event_count());
-  out.append("# HELP grb_flight_recorder_overwrites_total Events lost to "
-             "ring wrap.\n"
-             "# TYPE grb_flight_recorder_overwrites_total counter\n");
-  series("grb_flight_recorder_overwrites_total", "", fr_overwrites());
-  out.append("# HELP grb_trace_dropped_total Spans dropped by the capped "
-             "trace buffer.\n"
-             "# TYPE grb_trace_dropped_total counter\n");
-  series("grb_trace_dropped_total", "", ld(g_globals.trace_dropped));
-  out.append("# HELP grb_format_switches_total Publish-time storage-"
-             "format conversions.\n"
-             "# TYPE grb_format_switches_total counter\n");
-  series("grb_format_switches_total", "", ld(g_globals.format_switches));
-  out.append("# HELP grb_format_transpose_cache_total Descriptor-"
-             "transpose reads by cache outcome.\n"
-             "# TYPE grb_format_transpose_cache_total counter\n");
-  series("grb_format_transpose_cache_total", "outcome=\"hit\"",
-         ld(g_globals.format_trans_hits));
-  series("grb_format_transpose_cache_total", "outcome=\"miss\"",
-         ld(g_globals.format_trans_misses));
-  out.append("# HELP grb_format_csr_conversions_total Lazy canonical-"
-             "view expansions of non-CSR blocks.\n"
-             "# TYPE grb_format_csr_conversions_total counter\n");
-  series("grb_format_csr_conversions_total", "",
-         ld(g_globals.format_csr_conversions));
-  decision_prometheus(out);
-  prof_prometheus(out);
+  const void* row = nullptr;
+  walk(take_snapshot(false),
+       [&](const Dim& d, const auto& m, const auto* in, uint64_t v) {
+         if (!d.prom || in == nullptr) return;
+         if (&m != row && m.help[0] != '\0') {
+           out.append("# HELP ").append(m.family).append(" ").append(m.help);
+           out.append("\n# TYPE ").append(m.family).append(" ");
+           out.append(kTypeName[static_cast<int>(m.kind)]).push_back('\n');
+         }
+         row = &m;
+         out.append(prom_series(m, *in)).append(" ");
+         out.append(std::to_string(v)).push_back('\n');
+       });
+  out.append("# HELP grb_prof_backend_info Live hardware-profiler backend "
+             "(1 = active).\n# TYPE grb_prof_backend_info gauge\n"
+             "grb_prof_backend_info{")
+      .append(label("backend", prof_backend_name()))
+      .append("} 1\n");
   return out;
 }
 
@@ -1684,8 +1429,8 @@ bool trace_start(const char* path) {
   std::lock_guard<std::mutex> lock(trace_mu());
   trace_buf().clear();
   trace_path() = path != nullptr ? path : "";
-  g_globals.trace_events = 0;
-  g_globals.trace_dropped = 0;
+  g_globals[kTraceEvents].store(0, std::memory_order_relaxed);
+  g_globals[kTraceDropped].store(0, std::memory_order_relaxed);
   set_flag(kTraceFlag, true);
   return true;
 }
@@ -1701,8 +1446,7 @@ bool trace_dump(const char* path) {
   // when the capped buffer truncated the recording.
   std::fprintf(f, "{\"displayTimeUnit\":\"ms\",\"droppedEvents\":%llu,"
                   "\"traceEvents\":[",
-               static_cast<unsigned long long>(
-                   g_globals.trace_dropped.load(std::memory_order_relaxed)));
+               static_cast<unsigned long long>(ld(g_globals[kTraceDropped])));
   bool first = true;
   for (const Event& e : trace_buf()) {
     std::fputs(first ? "\n" : ",\n", f);
@@ -1802,6 +1546,23 @@ void env_activate() {
   fr_env_activate();
 }
 
+namespace {
+
+// Writes one GrB_finalize dump to `*path` (then forgets the path).
+void write_dump(std::string* path, std::string (*render)(), const char* var) {
+  if (path->empty()) return;
+  std::FILE* f = std::fopen(path->c_str(), "w");
+  if (f != nullptr) {
+    std::fputs(render().c_str(), f);
+    std::fclose(f);
+  } else {
+    std::fprintf(stderr, "grb-obs: failed to write %s file\n", var);
+  }
+  path->clear();
+}
+
+}  // namespace
+
 void env_finalize() {
   watchdog_stop();
   if (g_env_trace) {
@@ -1810,34 +1571,14 @@ void env_finalize() {
     }
     g_env_trace = false;
   }
-  if (!env_metrics_path().empty()) {
-    std::FILE* f = std::fopen(env_metrics_path().c_str(), "w");
-    if (f != nullptr) {
-      std::fputs(stats_prometheus().c_str(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "grb-obs: failed to write GRB_METRICS file\n");
-    }
-    env_metrics_path().clear();
-    if (!g_env_stats && env_stats_json_path().empty()) {
-      stats_set_enabled(false);
-      stats_reset();
-    }
-  }
-  if (!env_stats_json_path().empty()) {
-    std::FILE* f = std::fopen(env_stats_json_path().c_str(), "w");
-    if (f != nullptr) {
-      std::fputs(stats_json().c_str(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "grb-obs: failed to write GRB_STATS_JSON file\n");
-    }
-    env_stats_json_path().clear();
-    if (!g_env_stats) {
-      stats_set_enabled(false);
-      stats_reset();
-    }
+  const bool dumped =
+      !env_metrics_path().empty() || !env_stats_json_path().empty();
+  write_dump(&env_metrics_path(), &stats_prometheus, "GRB_METRICS");
+  write_dump(&env_stats_json_path(), [] { return stats_json() + "\n"; },
+             "GRB_STATS_JSON");
+  if (dumped && !g_env_stats) {
+    stats_set_enabled(false);
+    stats_reset();
   }
   if (g_env_stats) {
     std::fprintf(stderr, "GRB_STATS %s\n", stats_json().c_str());

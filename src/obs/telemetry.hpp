@@ -34,7 +34,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace grb {
 namespace obs {
@@ -294,50 +296,79 @@ uint64_t watchdog_trips();
 void stats_set_enabled(bool on);
 void stats_reset();
 
-// Dotted-name counter lookup.  Per-op (summed across contexts):
-// "<op>.calls", ".ns", ".errors", ".scalars", ".flops", ".serial",
-// ".parallel", ".deferred", ".deferred_ns", plus the histogram-derived
-// ".p50_ns", ".p90_ns", ".p99_ns", ".max_ns" (log2-bucket upper bounds;
-// max is exact).  Per-site lock contention: "lock.<site>.acquires",
-// ".contended", ".wait_ns", ".p50_ns", ".p90_ns", ".p99_ns", ".max_ns".
-// Globals: "queue.enqueued", "queue.high_water", "queue.drained",
-// "pending.high_water", "pool.submitted", "pool.chunks", "pool.steals",
-// "pool.parks", "pool.park_ns", "pool.busy_high_water", "trace.events",
-// "trace.dropped", "spgemm.rows_hash", "spgemm.rows_dense",
-// "spgemm.flops_estimated", "fusion.chains", "fusion.ops_fused",
-// "fusion.dead_writes_eliminated", "format.switches",
-// "format.transpose_cache_hits", "format.transpose_cache_misses",
-// "format.csr_conversions", "arena.reuse_hits",
-// "arena.reuse_misses", "mem.live_bytes", "mem.peak_bytes",
-// "mem.arena_live_bytes", "mem.arena_peak_bytes", "mem.objects",
-// "flight.events", "flight.overwrites", "flight.capacity",
-// "watchdog.trips", "watchdog.deadline_ms".  Names under "decision."
-// forward to decision_stats_get (obs/decision.hpp) and names under
-// "prof." to prof_stats_get (obs/profiler.hpp).  Returns false (and
-// *value = 0) for unknown names.
+// --- The metric table (DESIGN.md §9) ---------------------------------------
+// One row per metric, read by all three read surfaces below, so a metric
+// is declared once and the surfaces cannot drift apart: adding a metric
+// means adding a row.  A row reads one instance of its dimension's type
+// T (an op aggregate, a pool, a lock site, a decision site, a profiler
+// region, or Process for the process-wide rows).  The table is
+// read-side only; the hooks above feed the counters it reads.
+enum class MetricKind : uint8_t { kCounter, kGauge, kSummary };
+
+struct Process {};
+
+template <class T>
+struct Metric {
+  const char* name;    // GxB_Stats_get field and JSON key
+  // Prometheus metric name.  A summary's quantile rows carry the family
+  // name and a quantile label; its _sum / _count rows carry the suffix.
+  const char* family;
+  const char* labels;  // fixed Prometheus labels, "" for none
+  MetricKind kind;
+  const char* help;    // # HELP text; "" continues the previous family
+  uint64_t (*read)(const T&);
+};
+
+template <class T>
+using MetricTable = std::span<const Metric<T>>;
+
+// The three read surfaces, all views of the metric table.
+//
+// Dotted-name lookup: the process-wide rows by name ("queue.high_water",
+// "format.switches", "mem.live_bytes", "flight.events", ...); per op,
+// summed across contexts, "<op>.<field>" ("GrB_mxm.calls", ".ns",
+// ".errors", ".scalars", ".flops", ".serial", ".parallel", ".deferred",
+// ".deferred_ns", ".p50_ns", ".p90_ns", ".p99_ns", ".total_ns",
+// ".samples", ".max_ns"; quantiles are log2-bucket upper bounds clamped
+// to the exact max); per instance of a labelled dimension
+// "lock.<site>.<field>", "pool.<id>.<field>", "decision.<site>.<field>",
+// "prof.<index>.<field>", and a bare "<dim>.<field>" for a counter's
+// process total ("pool.parks", "decision.records", "prof.cycles").
+// Returns false (and *value = 0) for unknown names.
 bool stats_get(const char* name, uint64_t* value);
 
-// Per-context counter lookup (backs GxB_Context_stats): same per-op
-// names as stats_get but restricted to one context subtree — entries
-// whose nearest live ancestor is `ctx_id` — plus "mem.live_bytes",
-// "mem.peak_bytes" (sum of per-object peaks) and "mem.objects" for the
-// containers currently homed there.
+// Per-context lookup (backs GxB_Context_stats): the per-op names of
+// stats_get restricted to one context subtree — entries whose nearest
+// live ancestor is `ctx_id` — plus "mem.live_bytes", "mem.peak_bytes"
+// (sum of per-object peaks) and "mem.objects" for the containers
+// currently homed there.
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value);
 
-// Full counter dump as a JSON object (ops, globals, per-pool breakdown,
-// per-context breakdown, per-site lock contention, decision-audit and
-// profiler blocks).  `trim_zero_rows` drops per-op and per-context
-// entries whose counters are all zero — bench artifacts embed the dump
-// and were dominated by zero rows — without changing the schema of the
-// rows that remain.
+// Full dump as a JSON object: "ops", "global", "pools", "contexts",
+// "locks", "decisions" and "prof" blocks.  `trim_zero_rows` drops per-op
+// and per-context entries whose counters are all zero — bench artifacts
+// embed the dump and were dominated by zero rows — without changing the
+// schema of the rows that remain.
 std::string stats_json(bool trim_zero_rows = false);
 
-// Prometheus text exposition (version 0.0.4): per-(op, context) call /
-// error counters and latency summaries (quantile series from the
-// histograms), per-context memory gauges, per-site lock-wait summaries,
-// and the global memory / flight-recorder / watchdog families.  Backs
+// Prometheus text exposition (version 0.0.4) of every row: one family
+// per metric with # HELP / # TYPE, labelled by its dimension (op and
+// context, context, pool, site, profiler region).  Backs
 // GxB_Stats_prometheus and the GRB_METRICS finalize dump.
 std::string stats_prometheus();
+
+// Every row read for every instance, as each surface spells it: the
+// stats_get name (a stats_get_ctx name when get_ctx >= 0), the path into
+// stats_json and the Prometheus series (empty where a surface has none).
+// Lets a test hold the three surfaces to one value per cell.
+struct MetricCell {
+  std::string get_name;
+  int64_t get_ctx = -1;
+  std::vector<std::string> json_path;
+  std::string prom_series;
+  uint64_t value = 0;
+};
+std::vector<MetricCell> metric_cells();
 
 // Tracing.  trace_start enables span recording and remembers `path`
 // (may be null: dump must then name one).  trace_dump writes the Chrome

@@ -157,9 +157,9 @@ TEST(ProfFallbackTest, DegradesGracefullyWhenPerfDenied) {
   ASSERT_EQ(GxB_Stats_get("prof.cycles", &cycles), GrB_SUCCESS);
   EXPECT_EQ(cycles, 0u);
 
-  // The JSON report names the live backend so a dashboard can caveat
-  // its IPC columns.
-  std::string json = grb::obs::prof_json();
+  // The JSON report's "prof" block names the live backend so a
+  // dashboard can caveat its IPC columns.
+  std::string json = grb::obs::stats_json();
   EXPECT_NE(json.find("\"backend\":\"" + backend + "\""),
             std::string::npos)
       << json;

@@ -20,6 +20,7 @@
 #include "graphblas/GraphBLAS.h"
 #include "obs/flight_recorder.hpp"
 #include "obs/telemetry.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -66,32 +67,33 @@ GrB_Matrix path_matrix(GrB_Index n) {
 }
 
 // The log2 histograms report quantile upper bounds: a sample of v lands
-// in bucket bit_width(v), whose reported value is 2^b - 1.  With
-// synthetic durations injected through obs::latency_record the expected
-// percentiles are exact closed forms.
+// in bucket bit_width(v), whose reported value is 2^b - 1 clamped to the
+// exact max.  With synthetic durations injected through
+// obs::latency_record the expected percentiles are exact closed forms.
 TEST_F(ObservabilityTest, HistogramPercentilesMatchClosedFormOracle) {
   ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
 
-  // Uniform: 100 samples of 1000ns.  bucket(1000) = 10, upper = 1023.
+  // Uniform: 100 samples of 1000ns.  bucket(1000) = 10, upper = 1023,
+  // clamped to the max of 1000.
   for (int i = 0; i < 100; ++i)
     grb::obs::latency_record("oracle_uniform", 1000);
-  EXPECT_EQ(counter("oracle_uniform.p50_ns"), 1023u);
-  EXPECT_EQ(counter("oracle_uniform.p90_ns"), 1023u);
-  EXPECT_EQ(counter("oracle_uniform.p99_ns"), 1023u);
+  EXPECT_EQ(counter("oracle_uniform.p50_ns"), 1000u);
+  EXPECT_EQ(counter("oracle_uniform.p90_ns"), 1000u);
+  EXPECT_EQ(counter("oracle_uniform.p99_ns"), 1000u);
   // max is tracked exactly, not bucketed.
   EXPECT_EQ(counter("oracle_uniform.max_ns"), 1000u);
 
   // Bimodal tail: 90 fast (10ns, bucket 4 -> 15) + 10 slow (1ms,
-  // bucket 20 -> 1048575).  Ceil-rank quantile: p50 and p90 land on the
-  // fast mode (rank 50 and 90 of 100, cum 90 at bucket 4), p99 (rank
-  // 99) lands in the tail.
+  // bucket 20 -> 1048575, clamped to the max of 1000000).  Ceil-rank
+  // quantile: p50 and p90 land on the fast mode (rank 50 and 90 of 100,
+  // cum 90 at bucket 4), p99 (rank 99) lands in the tail.
   for (int i = 0; i < 90; ++i) grb::obs::latency_record("oracle_tail", 10);
   for (int i = 0; i < 10; ++i)
     grb::obs::latency_record("oracle_tail", 1000000);
   EXPECT_EQ(counter("oracle_tail.p50_ns"), 15u);
   EXPECT_EQ(counter("oracle_tail.p90_ns"), 15u);
-  EXPECT_EQ(counter("oracle_tail.p99_ns"), 1048575u);
+  EXPECT_EQ(counter("oracle_tail.p99_ns"), 1000000u);
   EXPECT_EQ(counter("oracle_tail.max_ns"), 1000000u);
 
   // Zero-duration samples stay in bucket 0, reported as 0.
@@ -106,7 +108,7 @@ TEST_F(ObservabilityTest, HistogramPercentilesMatchClosedFormOracle) {
   ASSERT_EQ(GxB_Stats_json(buf.data(), &len), GrB_SUCCESS);
   std::string json(buf.data());
   EXPECT_NE(json.find("\"oracle_tail\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ns\":1048575"), std::string::npos);
+  EXPECT_NE(json.find("\"p99_ns\":1000000"), std::string::npos);
 }
 
 // Sharded histogram adds must not lose samples under contention: with
@@ -126,9 +128,66 @@ TEST_F(ObservabilityTest, HistogramShardsMergeConsistentlyUnderThreads) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(counter("oracle_mt.p50_ns"), 127u);
-  EXPECT_EQ(counter("oracle_mt.p99_ns"), 127u);
+  // 127 clamped to the max of 100.
+  EXPECT_EQ(counter("oracle_mt.p50_ns"), 100u);
+  EXPECT_EQ(counter("oracle_mt.p99_ns"), 100u);
   EXPECT_EQ(counter("oracle_mt.max_ns"), 100u);
+}
+
+// Property: no quantile of any op or lock row (flat, per context, per
+// site) exceeds that row's exact max, whatever its bucket bound says.
+TEST_F(ObservabilityTest, QuantilesNeverExceedMaxOnAnyRow) {
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  for (uint64_t ns : {1ull, 3ull, 1000ull, 1023ull, 1024ull, 6780000ull})
+    grb::obs::latency_record("oracle_property", ns);
+  GrB_Matrix a = path_matrix(16);
+  GrB_Matrix c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 16, 16), GrB_SUCCESS);
+  ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
+                    a, GrB_NULL),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+  grb::Mutex mu;
+  auto hammer = [&mu] {
+    for (int i = 0; i < 2000; ++i) {
+      grb::MutexLock lock(mu, "quantile_site");
+    }
+  };
+  std::thread t1(hammer), t2(hammer);
+  t1.join();
+  t2.join();
+  ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);  // freeze the counters
+
+  auto read = [](const grb::obs::MetricCell& cell, const std::string& name) {
+    uint64_t v = 0;
+    bool ok = cell.get_ctx >= 0
+                  ? grb::obs::stats_get_ctx(
+                        static_cast<uint64_t>(cell.get_ctx), name.c_str(), &v)
+                  : grb::obs::stats_get(name.c_str(), &v);
+    EXPECT_TRUE(ok) << name;
+    return v;
+  };
+  size_t checked = 0;
+  bool saw_lock = false, saw_op = false;
+  for (const auto& cell : grb::obs::metric_cells()) {
+    const std::string& n = cell.get_name;
+    for (std::string q : {"p50_ns", "p90_ns", "p99_ns"}) {
+      if (n.size() < q.size() || n.compare(n.size() - q.size(), q.size(), q))
+        continue;
+      std::string max_name = n.substr(0, n.size() - q.size()) + "max_ns";
+      EXPECT_LE(read(cell, n), read(cell, max_name)) << n;
+      ++checked;
+      saw_lock = saw_lock || n == "lock.quantile_site." + q;
+      saw_op = saw_op || n == "oracle_property." + q;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  EXPECT_TRUE(saw_lock);
+  EXPECT_TRUE(saw_op);
+  EXPECT_EQ(counter("oracle_property.p99_ns"), 6780000u);
+  GrB_free(&a);
+  GrB_free(&c);
 }
 
 TEST_F(ObservabilityTest, MemoryGaugesBalanceAcrossObjectLifecycle) {

@@ -10,17 +10,24 @@
 // initializes once per process, which would pin the env state).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "graphblas/GraphBLAS.h"
 #include "exec/fusion.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/profiler.hpp"
+#include "obs/telemetry.hpp"
 #include "ops/spgemm.hpp"
 
 namespace {
@@ -268,6 +275,171 @@ TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
   grb::set_spgemm_mode(saved_mode);
   GrB_free(&a);
   GrB_free(&c);
+}
+
+// Just enough JSON to follow a key path through stats_json: skips one
+// value starting at `i`.
+size_t json_skip(std::string_view doc, size_t i) {
+  if (doc[i] == '"') {
+    for (++i; doc[i] != '"'; ++i)
+      if (doc[i] == '\\') ++i;
+    return i + 1;
+  }
+  if (doc[i] == '{' || doc[i] == '[') {
+    int depth = 0;
+    do {
+      if (doc[i] == '"') {
+        i = json_skip(doc, i);
+        continue;
+      }
+      if (doc[i] == '{' || doc[i] == '[') ++depth;
+      if (doc[i] == '}' || doc[i] == ']') --depth;
+      ++i;
+    } while (depth > 0);
+    return i;
+  }
+  while (doc[i] != ',' && doc[i] != '}' && doc[i] != ']') ++i;
+  return i;
+}
+
+// The number at `path` (object keys, or decimal indices into arrays).
+std::optional<uint64_t> json_at(std::string_view doc,
+                                const std::vector<std::string>& path) {
+  size_t i = 0;
+  for (const std::string& step : path) {
+    const bool array = doc[i] == '[';
+    if (!array && doc[i] != '{') return std::nullopt;
+    size_t index = 0;
+    for (++i;;) {
+      if (doc[i] == '}' || doc[i] == ']') return std::nullopt;
+      std::string key = std::to_string(index++);
+      if (!array) {
+        size_t end = json_skip(doc, i);
+        key = std::string(doc.substr(i + 1, end - i - 2));
+        i = end + 1;  // past the ':'
+      }
+      if (key == step) break;
+      i = json_skip(doc, i);
+      if (doc[i] == ',') ++i;
+    }
+  }
+  return std::stoull(std::string(doc.substr(i, json_skip(doc, i) - i)));
+}
+
+// Cross-surface parity: every cell of the metric table (a row read for
+// one instance of its dimension) reads the same through the dotted-name
+// lookup, at its JSON path and as its Prometheus sample.  The counters
+// are frozen (stats off) and read through the obs layer directly, so the
+// reads themselves bump nothing (a GxB_* call would add flight events).
+TEST_F(ObsTest, EveryMetricRowAgreesAcrossSurfaces) {
+  FusionGuard fusion_off;
+  grb::SpgemmMode saved_mode = grb::spgemm_mode();
+  grb::set_spgemm_mode(grb::SpgemmMode::kHash);
+  GrB_Context child = nullptr;
+  ASSERT_EQ(GrB_Context_new(&child, GrB_NONBLOCKING, nullptr, nullptr),
+            GrB_SUCCESS);
+  GrB_Matrix a = path_matrix(8);
+  GrB_Matrix c = nullptr;
+  GrB_Vector u = ones_vector(8);
+  GrB_Vector w = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&w, GrB_FP64, 8), GrB_SUCCESS);
+  GrB_Vector t = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&t, GrB_FP64, 8, child), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  grb::obs::prof_set_enabled(true);
+
+  // The scripted sequence of CountersExactForKnownOpSequence, plus a
+  // tenant's setElement burst in a child context.
+  for (int rep = 0; rep < 2; ++rep)
+    ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
+                      a, GrB_NULL),
+              GrB_SUCCESS);
+  ASSERT_EQ(GrB_mxv(w, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a, u,
+                    GrB_NULL),
+            GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
+  for (GrB_Index i = 0; i < 3; ++i)
+    ASSERT_EQ(GrB_Vector_setElement(t, 1.0, i), GrB_SUCCESS);
+  ASSERT_EQ(GrB_wait(t, GrB_MATERIALIZE), GrB_SUCCESS);
+  GrB_ContextConfig cfg;
+  cfg.nthreads = 2;
+  cfg.chunk = 8;
+  GrB_Context pooled = nullptr;
+  ASSERT_EQ(GrB_Context_new(&pooled, GrB_NONBLOCKING, GrB_NULL, &cfg),
+            GrB_SUCCESS);
+  pooled->parallel_for(0, 1000, [](grb::Index, grb::Index) {});
+  grb::obs::prof_set_enabled(false);
+  ASSERT_EQ(GxB_Stats_enable(0), GrB_SUCCESS);
+
+  const std::string json = grb::obs::stats_json();
+  std::map<std::string, uint64_t> prom;
+  std::istringstream lines(grb::obs::stats_prometheus());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    size_t sp = line.rfind(' ');
+    prom[line.substr(0, sp)] = std::stoull(line.substr(sp + 1));
+  }
+
+  size_t in_json = 0, in_prom = 0, by_ctx = 0;
+  for (const grb::obs::MetricCell& cell : grb::obs::metric_cells()) {
+    uint64_t got = ~0ull;
+    bool ok = cell.get_ctx >= 0
+                  ? grb::obs::stats_get_ctx(
+                        static_cast<uint64_t>(cell.get_ctx),
+                        cell.get_name.c_str(), &got)
+                  : grb::obs::stats_get(cell.get_name.c_str(), &got);
+    ASSERT_TRUE(ok) << cell.get_name;
+    EXPECT_EQ(got, cell.value) << cell.get_name;
+    if (!cell.json_path.empty()) {
+      EXPECT_EQ(json_at(json, cell.json_path), std::optional<uint64_t>(got))
+          << cell.get_name;
+      ++in_json;
+    }
+    if (!cell.prom_series.empty()) {
+      auto it = prom.find(cell.prom_series);
+      ASSERT_NE(it, prom.end()) << cell.prom_series;
+      EXPECT_EQ(it->second, got) << cell.prom_series;
+      ++in_prom;
+    }
+    by_ctx += cell.get_ctx >= 0;
+  }
+  // Every dimension took part: process rows, ops (flat and per context,
+  // both contexts), locks, decision sites and profiler regions.
+  EXPECT_GT(in_json, 0u);
+  EXPECT_GT(in_prom, 0u);
+  EXPECT_GT(by_ctx, 0u);
+  for (const char* dim : {"locks", "pools", "contexts"})
+    EXPECT_NE(json.find(std::string("\"") + dim + "\":{\""),
+              std::string::npos)
+        << dim << " " << json;
+  EXPECT_NE(prom.find("grb_prof_regions_total{op=\"GrB_mxm\",strategy="
+                      "\"hash\",context=\"1\"}"),
+            prom.end());
+  uint64_t v = 0;
+  EXPECT_TRUE(grb::obs::stats_get_ctx(
+      child->obs_id(), "GrB_Vector_setElement<double>.calls", &v));
+  EXPECT_EQ(v, 3u);
+  EXPECT_EQ(json_at(json, {"decisions", "sites", "spgemm_accum", "records"}),
+            std::optional<uint64_t>(2));
+  EXPECT_EQ(json_at(json, {"prof", "regions_total"}),
+            std::optional<uint64_t>(
+                [] {
+                  uint64_t n = 0;
+                  grb::obs::stats_get("prof.regions", &n);
+                  return n;
+                }()));
+
+  GrB_free(&a);
+  GrB_free(&c);
+  GrB_free(&u);
+  GrB_free(&w);
+  GrB_free(&t);
+  GrB_free(&child);
+  GrB_free(&pooled);
+  grb::set_spgemm_mode(saved_mode);
 }
 
 TEST_F(ObsTest, QueueDepthHighWaterMatchesScriptedBuildWait) {
@@ -560,6 +732,31 @@ TEST_F(ObsTest, MultithreadedCounterConsistency) {
             static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(counter("GrB_Vector_nvals.errors"), 0u);
   GrB_free(&v);
+
+  // A parallel workload on a pooled context: idle workers are billed
+  // once, as pool parks, and never as lock contention.
+  GrB_ContextConfig cfg;
+  cfg.nthreads = 4;
+  cfg.chunk = 8;
+  GrB_Context ctx = nullptr;
+  ASSERT_EQ(GrB_Context_new(&ctx, GrB_NONBLOCKING, GrB_NULL, &cfg),
+            GrB_SUCCESS);
+  std::vector<std::atomic<int>> hits(1000);
+  for (int rep = 0; rep < 8 && counter("pool.parks") == 0; ++rep) {
+    ctx->parallel_for(0, 1000, [&](grb::Index lo, grb::Index hi) {
+      for (grb::Index i = lo; i < hi; ++i)
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GT(counter("pool.parks"), 0u);
+  EXPECT_GT(counter("pool.chunks"), 0u);
+  uint64_t park_locks = 0;
+  EXPECT_EQ(GxB_Stats_get("lock.ThreadPool::park.contended", &park_locks),
+            GrB_NO_VALUE);
+  EXPECT_EQ(grb::obs::stats_json().find("ThreadPool::park"),
+            std::string::npos);
+  GrB_free(&ctx);
 }
 
 TEST_F(ObsTest, ExtensionRegistryIntrospection) {

@@ -18,6 +18,10 @@ syntax, the GraphBLAS exposition contract is enforced:
     silently drops the other exposition);
   * no two samples of one metric share an identical label set (the later
     sample would overwrite the earlier in the scrape);
+  * no quantile sample of a summary X_ns exceeds the X_max_ns gauge with
+    the same labels (grb_op_latency_ns vs grb_op_latency_max_ns,
+    grb_lock_wait_ns vs grb_lock_wait_max_ns): quantiles are bucket
+    bounds clamped to the exact max;
   * with --require-contexts N, the per-op series must carry at least N
     distinct context="..." tenant labels;
   * whenever the decision-audit families (grb_decision_*_total) appear,
@@ -191,6 +195,21 @@ def main():
                               % (suffix, op))
     if typed.get("grb_op_latency_ns") not in (None, "summary"):
         errors.append("grb_op_latency_ns must be # TYPE summary")
+
+    # Quantiles never exceed the observed max of the same series.
+    maxima = {(name, tuple(sorted(labels.items()))): value
+              for name, labels, value in samples}
+    for name, labels, value in samples:
+        if "quantile" not in labels or not name.endswith("_ns"):
+            continue
+        rest = tuple(sorted((k, v) for k, v in labels.items()
+                            if k != "quantile"))
+        top = maxima.get((name[:-3] + "_max_ns", rest))
+        if top is not None and value > top:
+            errors.append(
+                "%s{%s} quantile=\"%s\" is %g, above its max %g"
+                % (name, ",".join('%s="%s"' % kv for kv in rest),
+                   labels["quantile"], value, top))
 
     # Tenant attribution: count distinct context labels on the per-op
     # call counters (every attributed series carries one).
