@@ -12,6 +12,10 @@ struct FormatCase {
   GrB_Format format;
 };
 
+// Print the case by name so discovered test names hold no pointer bytes
+// (which ASLR makes differ on every run).
+void PrintTo(const FormatCase& c, std::ostream* os) { *os << c.name; }
+
 class FormatSweep : public ::testing::TestWithParam<FormatCase> {};
 
 TEST_P(FormatSweep, MatrixRoundTrip) {
