@@ -1,104 +1,17 @@
 // Experiment M2 (Motivation §II): "a function pointer call required for
 // each scalar operation" is a real performance penalty.  The same
-// kernels run with the statically typed fast path and with the generic
-// function-pointer path; user-defined operators can only ever get the
-// latter, which is why 2.0 adds predefined index ops instead of making
-// users write unpacking operators.
-#include "bench/bench_util.hpp"
+// kernels run a builtin semiring, which the kernel layer dispatches to a
+// statically typed runner, and the same semiring built from
+// user-defined operators, which can only ever take the function-pointer
+// runner — why 2.0 adds predefined index ops instead of making users
+// write unpacking operators.
+#include <cmath>
+#include <cstring>
 
-#include "ops/mxm.hpp"
+#include "bench/bench_util.hpp"
 
 namespace {
 
-struct FastpathGuard {
-  explicit FastpathGuard(bool enabled) { grb::set_fastpath_enabled(enabled); }
-  ~FastpathGuard() { grb::set_fastpath_enabled(true); }
-};
-
-void run_mxm(benchmark::State& state, bool fast) {
-  FastpathGuard guard(fast);
-  GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
-  GrB_Index n, nnz;
-  BENCH_TRY(GrB_Matrix_nrows(&n, a));
-  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
-  GrB_Matrix c = nullptr;
-  BENCH_TRY(GrB_Matrix_new(&c, GrB_FP64, n, n));
-  for (auto _ : state) {
-    BENCH_TRY(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64,
-                      a, a, GrB_NULL));
-    BENCH_TRY(GrB_wait(c, GrB_COMPLETE));
-  }
-  state.SetItemsProcessed(state.iterations() * nnz);
-  state.counters["fastpath"] = fast ? 1 : 0;
-  GrB_free(&a);
-  GrB_free(&c);
-}
-
-void BM_Mxm_TypedFastPath(benchmark::State& state) { run_mxm(state, true); }
-void BM_Mxm_FunctionPointerPath(benchmark::State& state) {
-  run_mxm(state, false);
-}
-BENCHMARK(BM_Mxm_TypedFastPath)->Arg(10)->Arg(12)->Arg(14);
-BENCHMARK(BM_Mxm_FunctionPointerPath)->Arg(10)->Arg(12)->Arg(14);
-
-void run_mxv(benchmark::State& state, bool fast) {
-  FastpathGuard guard(fast);
-  GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
-  GrB_Index n, nnz;
-  BENCH_TRY(GrB_Matrix_nrows(&n, a));
-  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
-  GrB_Vector u = benchutil::dense_vector(n, 3);
-  GrB_Vector w = nullptr;
-  BENCH_TRY(GrB_Vector_new(&w, GrB_FP64, n));
-  for (auto _ : state) {
-    BENCH_TRY(GrB_mxv(w, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64,
-                      a, u, GrB_NULL));
-    BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
-  }
-  state.SetItemsProcessed(state.iterations() * nnz);
-  state.counters["fastpath"] = fast ? 1 : 0;
-  GrB_free(&a);
-  GrB_free(&u);
-  GrB_free(&w);
-}
-
-void BM_Mxv_TypedFastPath(benchmark::State& state) { run_mxv(state, true); }
-void BM_Mxv_FunctionPointerPath(benchmark::State& state) {
-  run_mxv(state, false);
-}
-BENCHMARK(BM_Mxv_TypedFastPath)->Arg(12)->Arg(15)->Arg(17);
-BENCHMARK(BM_Mxv_FunctionPointerPath)->Arg(12)->Arg(15)->Arg(17);
-
-void run_vxm(benchmark::State& state, bool fast) {
-  FastpathGuard guard(fast);
-  GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
-  GrB_Index n, nnz;
-  BENCH_TRY(GrB_Matrix_nrows(&n, a));
-  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
-  GrB_Vector u = benchutil::sparse_vector(n, n / 16, 4);
-  GrB_Vector w = nullptr;
-  BENCH_TRY(GrB_Vector_new(&w, GrB_FP64, n));
-  for (auto _ : state) {
-    BENCH_TRY(GrB_vxm(w, GrB_NULL, GrB_NULL, GrB_MIN_PLUS_SEMIRING_FP64, u,
-                      a, GrB_NULL));
-    BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
-  }
-  state.SetItemsProcessed(state.iterations() * (nnz / 16));
-  state.counters["fastpath"] = fast ? 1 : 0;
-  GrB_free(&a);
-  GrB_free(&u);
-  GrB_free(&w);
-}
-
-void BM_Vxm_TypedFastPath(benchmark::State& state) { run_vxm(state, true); }
-void BM_Vxm_FunctionPointerPath(benchmark::State& state) {
-  run_vxm(state, false);
-}
-BENCHMARK(BM_Vxm_TypedFastPath)->Arg(12)->Arg(15)->Arg(17);
-BENCHMARK(BM_Vxm_FunctionPointerPath)->Arg(12)->Arg(15)->Arg(17);
-
-// The fully user-defined semiring: always on the function-pointer path,
-// whatever the dispatcher does — the §II floor for custom algebra.
 void user_plus(void* z, const void* x, const void* y) {
   double a, b;
   std::memcpy(&a, x, 8);
@@ -113,17 +26,56 @@ void user_times(void* z, const void* x, const void* y) {
   double r = a * b;
   std::memcpy(z, &r, 8);
 }
+void user_min(void* z, const void* x, const void* y) {
+  double a, b;
+  std::memcpy(&a, x, 8);
+  std::memcpy(&b, y, 8);
+  double r = a < b ? a : b;
+  std::memcpy(z, &r, 8);
+}
 
-void BM_Mxm_UserDefinedSemiring(benchmark::State& state) {
-  GrB_BinaryOp plus = nullptr, times = nullptr;
-  BENCH_TRY(GrB_BinaryOp_new(&plus, &user_plus, GrB_FP64, GrB_FP64,
-                             GrB_FP64));
-  BENCH_TRY(GrB_BinaryOp_new(&times, &user_times, GrB_FP64, GrB_FP64,
-                             GrB_FP64));
-  GrB_Monoid add = nullptr;
-  BENCH_TRY(GrB_Monoid_new(&add, plus, 0.0));
-  GrB_Semiring ring = nullptr;
-  BENCH_TRY(GrB_Semiring_new(&ring, add, times));
+// The builtin semiring, or <add, mul> over FP64 from user-defined ops.
+class Ring {
+ public:
+  Ring(bool typed, GrB_Semiring builtin, GrB_binary_function add_fn,
+       double identity, GrB_binary_function mul_fn) {
+    if (typed) {
+      ring_ = builtin;
+      return;
+    }
+    BENCH_TRY(GrB_BinaryOp_new(&add_op_, add_fn, GrB_FP64, GrB_FP64,
+                               GrB_FP64));
+    BENCH_TRY(GrB_BinaryOp_new(&mul_op_, mul_fn, GrB_FP64, GrB_FP64,
+                               GrB_FP64));
+    BENCH_TRY(GrB_Monoid_new(&add_, add_op_, identity));
+    BENCH_TRY(GrB_Semiring_new(&user_, add_, mul_op_));
+    ring_ = user_;
+  }
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+  ~Ring() {
+    if (user_ == nullptr) return;
+    GrB_free(&user_);
+    GrB_free(&add_);
+    GrB_free(&add_op_);
+    GrB_free(&mul_op_);
+  }
+  GrB_Semiring get() const { return ring_; }
+
+ private:
+  GrB_Semiring ring_ = nullptr;
+  GrB_BinaryOp add_op_ = nullptr, mul_op_ = nullptr;
+  GrB_Monoid add_ = nullptr;
+  GrB_Semiring user_ = nullptr;
+};
+
+Ring plus_times(bool typed) {
+  return Ring(typed, GrB_PLUS_TIMES_SEMIRING_FP64, &user_plus, 0.0,
+              &user_times);
+}
+
+void run_mxm(benchmark::State& state, bool typed) {
+  Ring ring = plus_times(typed);
   GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
   GrB_Index n, nnz;
   BENCH_TRY(GrB_Matrix_nrows(&n, a));
@@ -131,18 +83,76 @@ void BM_Mxm_UserDefinedSemiring(benchmark::State& state) {
   GrB_Matrix c = nullptr;
   BENCH_TRY(GrB_Matrix_new(&c, GrB_FP64, n, n));
   for (auto _ : state) {
-    BENCH_TRY(GrB_mxm(c, GrB_NULL, GrB_NULL, ring, a, a, GrB_NULL));
+    BENCH_TRY(GrB_mxm(c, GrB_NULL, GrB_NULL, ring.get(), a, a, GrB_NULL));
     BENCH_TRY(GrB_wait(c, GrB_COMPLETE));
   }
   state.SetItemsProcessed(state.iterations() * nnz);
+  state.counters["typed"] = typed ? 1 : 0;
   GrB_free(&a);
   GrB_free(&c);
-  GrB_free(&ring);
-  GrB_free(&add);
-  GrB_free(&plus);
-  GrB_free(&times);
 }
-BENCHMARK(BM_Mxm_UserDefinedSemiring)->Arg(10)->Arg(12)->Arg(14);
+
+void BM_Mxm_TypedRunner(benchmark::State& state) { run_mxm(state, true); }
+void BM_Mxm_FunctionPointerPath(benchmark::State& state) {
+  run_mxm(state, false);
+}
+BENCHMARK(BM_Mxm_TypedRunner)->Arg(10)->Arg(12)->Arg(14);
+BENCHMARK(BM_Mxm_FunctionPointerPath)->Arg(10)->Arg(12)->Arg(14);
+
+void run_mxv(benchmark::State& state, bool typed) {
+  Ring ring = plus_times(typed);
+  GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
+  GrB_Index n, nnz;
+  BENCH_TRY(GrB_Matrix_nrows(&n, a));
+  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
+  GrB_Vector u = benchutil::dense_vector(n, 3);
+  GrB_Vector w = nullptr;
+  BENCH_TRY(GrB_Vector_new(&w, GrB_FP64, n));
+  for (auto _ : state) {
+    BENCH_TRY(GrB_mxv(w, GrB_NULL, GrB_NULL, ring.get(), a, u, GrB_NULL));
+    BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
+  }
+  state.SetItemsProcessed(state.iterations() * nnz);
+  state.counters["typed"] = typed ? 1 : 0;
+  GrB_free(&a);
+  GrB_free(&u);
+  GrB_free(&w);
+}
+
+void BM_Mxv_TypedRunner(benchmark::State& state) { run_mxv(state, true); }
+void BM_Mxv_FunctionPointerPath(benchmark::State& state) {
+  run_mxv(state, false);
+}
+BENCHMARK(BM_Mxv_TypedRunner)->Arg(12)->Arg(15)->Arg(17);
+BENCHMARK(BM_Mxv_FunctionPointerPath)->Arg(12)->Arg(15)->Arg(17);
+
+void run_vxm(benchmark::State& state, bool typed) {
+  Ring ring(typed, GrB_MIN_PLUS_SEMIRING_FP64, &user_min, INFINITY,
+            &user_plus);
+  GrB_Matrix a = benchutil::rmat(static_cast<int>(state.range(0)), 8);
+  GrB_Index n, nnz;
+  BENCH_TRY(GrB_Matrix_nrows(&n, a));
+  BENCH_TRY(GrB_Matrix_nvals(&nnz, a));
+  GrB_Vector u = benchutil::sparse_vector(n, n / 16, 4);
+  GrB_Vector w = nullptr;
+  BENCH_TRY(GrB_Vector_new(&w, GrB_FP64, n));
+  for (auto _ : state) {
+    BENCH_TRY(GrB_vxm(w, GrB_NULL, GrB_NULL, ring.get(), u, a, GrB_NULL));
+    BENCH_TRY(GrB_wait(w, GrB_COMPLETE));
+  }
+  state.SetItemsProcessed(state.iterations() * (nnz / 16));
+  state.counters["typed"] = typed ? 1 : 0;
+  GrB_free(&a);
+  GrB_free(&u);
+  GrB_free(&w);
+}
+
+void BM_Vxm_TypedRunner(benchmark::State& state) { run_vxm(state, true); }
+void BM_Vxm_FunctionPointerPath(benchmark::State& state) {
+  run_vxm(state, false);
+}
+BENCHMARK(BM_Vxm_TypedRunner)->Arg(12)->Arg(15)->Arg(17);
+BENCHMARK(BM_Vxm_FunctionPointerPath)->Arg(12)->Arg(15)->Arg(17);
 
 }  // namespace
 

@@ -1,6 +1,8 @@
-// Experiment M5 (ablation, DESIGN.md): the adaptive two-phase SpGEMM
-// engine vs. the original two-pass dense-SPA kernel (pinned via
-// SpgemmMode::kReference) on three workload shapes:
+// Experiment M5 (ablation, DESIGN.md): the adaptive SpGEMM engine's
+// accumulator choice on three workload shapes, each run under the
+// default dense budget (auto per-row choice) and, where it differs,
+// under a budget too small for any dense SPA (every row on the hash
+// accumulator):
 //
 //   Uniform      — square ER-like squaring, modest ncols: every row's
 //                  flop count justifies the dense accumulator, so this
@@ -8,30 +10,32 @@
 //                  bound.
 //   Skewed       — A has R-MAT power-law out-degrees (per-row flop
 //                  counts vary by orders of magnitude), B is sparse and
-//                  wide (2^21 columns).  The reference kernel expands
-//                  every row twice through an O(ncols) SPA it re-zeroes
-//                  each call and scatters into across 18 MB; the
-//                  adaptive engine sizes a hash accumulator per row.
+//                  wide (2^23 columns): heavy rows may justify the dense
+//                  SPA, light ones get a hash accumulator sized by their
+//                  flop estimate.
 //   Hypersparse  — ncols = 2^24 with ~50K entries in B (ncols >> nvals):
-//                  the reference kernel's per-call O(ncols) scratch
-//                  (~150 MB, zeroed) dwarfs the real work; the byte
-//                  budget pushes every row onto the hash path.
+//                  a per-call O(ncols) scratch (~150 MB, zeroed) would
+//                  dwarf the real work; the byte budget pushes every row
+//                  onto the hash path, so there is only the auto leg.
 //
 // A² on power-law graphs is deliberately absent from the skewed leg:
 // its output fill-in (~60M entries at scale 15) makes writeback dominate
-// every mode equally, hiding the accumulator ablation this experiment
-// exists to measure.  Each shape runs one leg per engine mode so
-// BENCH_m5_spgemm_adaptive.json captures the ablation;
-// tools/bench_compare.py diffs two runs.
+// every leg equally, hiding the accumulator ablation this experiment
+// exists to measure.  The small budget of the hash legs also keeps the
+// output out of bitmap and dense storage.  BENCH_m5_spgemm_adaptive.json
+// captures the ablation; tools/bench_compare.py diffs two runs.
 #include "bench/bench_util.hpp"
 
 #include "ops/spgemm.hpp"
 
 namespace {
 
-struct ModeGuard {
-  explicit ModeGuard(grb::SpgemmMode m) { grb::set_spgemm_mode(m); }
-  ~ModeGuard() { grb::set_spgemm_mode(grb::SpgemmMode::kAuto); }
+// Dense budget of the hash legs: under any output's dense footprint.
+constexpr size_t kHashBudget = 64;
+
+struct BudgetGuard {
+  explicit BudgetGuard(size_t bytes) { grb::set_spgemm_dense_budget(bytes); }
+  ~BudgetGuard() { grb::set_spgemm_dense_budget(0); }  // the default
 };
 
 // n x n with exactly entries_per_row uniform-random columns per row.
@@ -60,9 +64,10 @@ GrB_Matrix scatter_matrix(GrB_Index nrows, GrB_Index ncols, GrB_Index nnz,
   return a;
 }
 
+// budget 0 = the default budget (the auto legs).
 void run_product(benchmark::State& state, GrB_Matrix a, GrB_Matrix b,
-                 grb::SpgemmMode mode) {
-  ModeGuard guard(mode);
+                 size_t budget) {
+  BudgetGuard guard(budget);
   GrB_Index nrows, ncols, flops_proxy;
   BENCH_TRY(GrB_Matrix_nrows(&nrows, a));
   BENCH_TRY(GrB_Matrix_ncols(&ncols, b));
@@ -86,33 +91,20 @@ GrB_Matrix uniform_input() {
   return a;
 }
 
-void BM_Uniform_Reference(benchmark::State& state) {
-  run_product(state, uniform_input(), uniform_input(),
-              grb::SpgemmMode::kReference);
-}
-void BM_Uniform_Dense(benchmark::State& state) {
-  run_product(state, uniform_input(), uniform_input(),
-              grb::SpgemmMode::kDense);
-}
 void BM_Uniform_Hash(benchmark::State& state) {
-  run_product(state, uniform_input(), uniform_input(),
-              grb::SpgemmMode::kHash);
+  run_product(state, uniform_input(), uniform_input(), kHashBudget);
 }
 void BM_Uniform_Auto(benchmark::State& state) {
-  run_product(state, uniform_input(), uniform_input(),
-              grb::SpgemmMode::kAuto);
+  run_product(state, uniform_input(), uniform_input(), 0);
 }
-BENCHMARK(BM_Uniform_Reference)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Uniform_Dense)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Uniform_Hash)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Uniform_Auto)->Unit(benchmark::kMillisecond);
 
 // --- Skewed: power-law row weights (R-MAT scale 15, edge factor 8)
 // against a sparse 32768 x 2^23 operand.  Per-row flop counts span
-// orders of magnitude while the output dimension prices the reference
-// kernel's O(ncols) scratch at ~80 MB allocated and zeroed per pass,
-// twice per call; the adaptive engine sizes hash accumulators by each
-// row's flop estimate instead. ------------------------------------------
+// orders of magnitude while the output dimension prices a dense SPA at
+// ~80 MB; the adaptive engine sizes hash accumulators by each row's flop
+// estimate instead. -------------------------------------------------------
 
 GrB_Matrix skewed_a() {
   static GrB_Matrix a = benchutil::rmat(15, 8);
@@ -124,16 +116,12 @@ GrB_Matrix skewed_b() {
   return b;
 }
 
-void BM_Skewed_Reference(benchmark::State& state) {
-  run_product(state, skewed_a(), skewed_b(), grb::SpgemmMode::kReference);
-}
 void BM_Skewed_Hash(benchmark::State& state) {
-  run_product(state, skewed_a(), skewed_b(), grb::SpgemmMode::kHash);
+  run_product(state, skewed_a(), skewed_b(), kHashBudget);
 }
 void BM_Skewed_Auto(benchmark::State& state) {
-  run_product(state, skewed_a(), skewed_b(), grb::SpgemmMode::kAuto);
+  run_product(state, skewed_a(), skewed_b(), 0);
 }
-BENCHMARK(BM_Skewed_Reference)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Skewed_Hash)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Skewed_Auto)->Unit(benchmark::kMillisecond);
 
@@ -151,13 +139,9 @@ GrB_Matrix hyper_b() {
   return b;
 }
 
-void BM_Hypersparse_Reference(benchmark::State& state) {
-  run_product(state, hyper_a(), hyper_b(), grb::SpgemmMode::kReference);
-}
 void BM_Hypersparse_Auto(benchmark::State& state) {
-  run_product(state, hyper_a(), hyper_b(), grb::SpgemmMode::kAuto);
+  run_product(state, hyper_a(), hyper_b(), 0);
 }
-BENCHMARK(BM_Hypersparse_Reference)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hypersparse_Auto)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -3,7 +3,8 @@
 // the C API boundary).  BM_ApiHook_Disabled vs. BM_ApiHook_Flight vs.
 // BM_ApiHook_Stats vs. BM_ApiHook_Trace quantify the veneer hook;
 // BM_Mxv_* quantify a real kernel so the disabled-overhead acceptance
-// bound is observable on an op that actually does work.  The flight
+// bound is observable on an op that actually does work; BM_StatsGet
+// prices the read side.  The flight
 // recorder is ON by default, so the *_Disabled/*_TelemetryOff benches
 // resize its ring to 0 to reach the flags==0 fast path, and dedicated
 // *_Flight/*_FlightOnly variants measure the always-on ring cost.
@@ -141,6 +142,40 @@ void BM_LockHook_Stats(benchmark::State& state) {
   BENCH_TRY(GxB_Stats_reset());
 }
 BENCHMARK(BM_LockHook_Stats);
+
+// Read side: one GxB_Stats_get by name, the price a scraper polling a
+// single counter pays.  The state holds op rows in two contexts, lock
+// sites and memory slices; counting stops before the loop, so the loop
+// reads frozen counters and the lookup is the whole cost.
+void BM_StatsGet(benchmark::State& state) {
+  BENCH_TRY(GxB_Stats_enable(1));
+  GrB_Context ctx = nullptr;
+  BENCH_TRY(GrB_Context_new(&ctx, GrB_NONBLOCKING, nullptr, nullptr));
+  GrB_Vector t = nullptr;
+  BENCH_TRY(GrB_Vector_new(&t, GrB_FP64, 64, ctx));
+  BENCH_TRY(GrB_Vector_setElement(t, 1.0, 0));
+  BENCH_TRY(GrB_wait(t, GrB_MATERIALIZE));
+  GrB_Matrix a = shared_mat();
+  GrB_Matrix c = nullptr;
+  GrB_Index n = 0;
+  BENCH_TRY(GrB_Matrix_nrows(&n, a));
+  BENCH_TRY(GrB_Matrix_new(&c, GrB_FP64, n, n));
+  BENCH_TRY(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a, a,
+                    GrB_NULL));
+  BENCH_TRY(GrB_wait(c, GrB_MATERIALIZE));
+  BENCH_TRY(GxB_Stats_enable(0));
+  uint64_t v = 0;
+  for (auto _ : state) {
+    BENCH_TRY(GxB_Stats_get("GrB_mxm.calls", &v));
+    benchmark::DoNotOptimize(v);
+  }
+  state.SetItemsProcessed(state.iterations());
+  GrB_free(&c);
+  GrB_free(&t);
+  BENCH_TRY(GrB_free(&ctx));
+  BENCH_TRY(GxB_Stats_reset());
+}
+BENCHMARK(BM_StatsGet);
 
 void mxv_loop(benchmark::State& state) {
   GrB_Matrix a = shared_mat();

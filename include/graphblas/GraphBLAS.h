@@ -80,7 +80,10 @@ enum GrB_Info {
   GrB_EMPTY_OBJECT = -106,
 };
 
-enum GrB_Mode {
+// Fixed underlying type: GrB_init and GrB_Context_new validate whatever
+// integer a caller passes, and without one a value outside {0, 1} is
+// already undefined behaviour when loaded.
+enum GrB_Mode : int {
   GrB_NONBLOCKING = 0,
   GrB_BLOCKING = 1,
 };

@@ -38,7 +38,7 @@ constexpr uint64_t kFormatMinWork = 1024;
 constexpr uint64_t kHyperMinRows = 4096;
 constexpr uint64_t kHyperRowRatio = 8;  // nonempty <= nrows/8
 
-// -2 = not yet resolved (lazy, like GRB_SPGEMM); otherwise a
+// -2 = not yet resolved (read lazily from GRB_FORMAT); otherwise a
 // FormatPolicy value.
 std::atomic<int> g_policy{-2};
 // 0 = off, 1 = on, -1 = unresolved (GRB_TRANSPOSE_CACHE).

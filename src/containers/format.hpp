@@ -23,7 +23,7 @@
 namespace grb {
 
 // Global format policy (GRB_FORMAT=csr|hyper|bitmap|dense|auto; default
-// auto).  Resolved lazily like GRB_SPGEMM; set_format_policy overrides
+// auto).  Resolved lazily on first use; set_format_policy overrides
 // at run time (tests, the CI ablation leg, benchmarks).
 enum class FormatPolicy : int {
   kAuto = -1,

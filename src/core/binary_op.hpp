@@ -3,7 +3,7 @@
 // Operators carry runtime type descriptors and a C-ABI function pointer
 // (the representation the C API requires for user-defined operators).
 // Predefined operators additionally carry an opcode so kernels can
-// dispatch to statically typed fast paths (see ops/fastpath.*), which is
+// dispatch to statically typed runners (see ops/mxm.hpp), which is
 // exactly the optimization the paper's Motivation section argues for.
 #pragma once
 

@@ -6,8 +6,7 @@
 // sequence, eliminates dead writes (an output fully overwritten before
 // any read), fuses runs of elementwise work into single passes over the
 // data, and executes whatever remains eagerly — bitwise-identical to the
-// eager path, which stays available as the GRB_FUSION=off ablation
-// (mirroring GRB_SPGEMM=reference).
+// eager path, which stays available as the GRB_FUSION=off ablation.
 #pragma once
 
 #include <cstdint>

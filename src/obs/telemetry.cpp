@@ -530,8 +530,8 @@ uint64_t now_ns() {
 // --- current op / current context -------------------------------------------
 
 namespace detail {
-thread_local const char* t_current_op = nullptr;
-thread_local uint64_t t_current_ctx = 0;
+constinit thread_local const char* t_current_op = nullptr;
+constinit thread_local uint64_t t_current_ctx = 0;
 }  // namespace detail
 
 // --- context registry -------------------------------------------------------
@@ -1086,6 +1086,19 @@ struct Instance {
 template <class T>
 using Instances = std::vector<Instance<T>>;
 
+// The parts of the table: a surface reads all of them, a dotted-name
+// lookup only the one its name resolves to (see part_of).
+enum Part : unsigned {
+  kProcessPart = 1u << 0,    // process rows (read live, nothing to gather)
+  kOpsPart = 1u << 1,        // op rows summed over contexts
+  kContextsPart = 1u << 2,   // per-context op and memory rows
+  kPoolsPart = 1u << 3,      // "pool." rows
+  kLocksPart = 1u << 4,      // "lock." rows
+  kDecisionsPart = 1u << 5,  // "decision." rows (read live)
+  kProfPart = 1u << 6,       // "prof." rows
+  kAllParts = (1u << 7) - 1,
+};
+
 // Everything the read surfaces show, read once: memory slices first
 // (obj_mu strictly before reg_mu), profiler regions, then the registry.
 struct Snapshot {
@@ -1097,17 +1110,24 @@ struct Snapshot {
 };
 
 // `trim_zero_rows` drops all-zero op rows and contexts left with
-// neither ops nor memory.
-Snapshot take_snapshot(bool trim_zero_rows) {
+// neither ops nor memory.  Only the sources of `parts` are read, and
+// only the op `op` when one is named.
+Snapshot take_snapshot(bool trim_zero_rows, unsigned parts = kAllParts,
+                       std::string_view op = {}) {
   Snapshot s;
-  std::vector<CtxMemSlice> mem = mem_by_ctx();
-  s.prof = prof_regions();
-  s.locks = lock_view();
+  std::vector<CtxMemSlice> mem;
+  if (parts & kContextsPart) mem = mem_by_ctx();
+  if (parts & kProfPart) s.prof = prof_regions();
+  if (parts & kLocksPart) s.locks = lock_view();
   std::lock_guard<std::mutex> lock(reg_mu());
+  if (parts & kPoolsPart)
+    for (auto& [id, p] : pool_registry()) s.pools[id] = p.get();
+  if (!(parts & (kOpsPart | kContextsPart))) return s;
   for (auto& [id, entry] : ctx_registry()) {
     if (entry.ops.empty()) continue;
     CtxView& c = s.contexts[resolve_live(id)];
-    for (auto& [op, counters] : entry.ops) c.ops[op].add(*counters);
+    for (auto& [name, counters] : entry.ops)
+      if (op.empty() || name == op) c.ops[name].add(*counters);
   }
   for (const CtxMemSlice& sl : mem) {
     CtxMemSlice& dst = s.contexts[resolve_live(sl.ctx)].mem;
@@ -1128,7 +1148,6 @@ Snapshot take_snapshot(bool trim_zero_rows) {
     bool empty = c.ops.empty() && c.mem.live_bytes == 0 && c.mem.objects == 0;
     it = trim_zero_rows && empty ? s.contexts.erase(it) : std::next(it);
   }
-  for (auto& [id, p] : pool_registry()) s.pools[id] = p.get();
   return s;
 }
 
@@ -1174,71 +1193,106 @@ void visit_rows(const Dim& d, MetricTable<T> rows, const Instances<T>& insts,
   }
 }
 
+// The get-name prefixes of the parts that have one; every other
+// process-wide name is a process or op row.
+constexpr std::pair<std::string_view, Part> kPrefixedParts[] = {
+    {"pool.", kPoolsPart},
+    {"lock.", kLocksPart},
+    {"decision.", kDecisionsPart},
+    {"prof.", kProfPart},
+};
+
+// The part a process-wide get name reads.
+unsigned part_of(std::string_view name) {
+  for (const auto& [prefix, part] : kPrefixedParts)
+    if (name.starts_with(prefix)) return part;
+  return kProcessPart | kOpsPart;
+}
+
 template <class Visit>
-void walk(const Snapshot& s, Visit&& visit) {
+void walk(const Snapshot& s, Visit&& visit, unsigned parts = kAllParts) {
   static const Process kProcess;
-  const Instances<Process> process = {{"", {"global"}, "", &kProcess}};
-  visit_rows<Process>({""}, kGlobalMetrics, process, visit);
-
-  Instances<OpAgg> flat, by_ctx;
-  Instances<CtxView> contexts;
-  for (const auto& [op, a] : s.ops) flat.push_back({op, {"ops", op}, "", &a});
-  for (const auto& [id, c] : s.contexts) {
-    std::string key = std::to_string(id);
-    auto ctx = static_cast<int64_t>(id);
-    contexts.push_back({"", {"contexts", key}, label("context", key), &c, ctx});
-    for (const auto& [op, a] : c.ops)
-      by_ctx.push_back({op, {"contexts", key, "ops", op},
-                        label("context", key, label("op", op)), &a, ctx});
+  if (parts & kProcessPart) {
+    const Instances<Process> process = {{"", {"global"}, "", &kProcess}};
+    visit_rows<Process>({""}, kGlobalMetrics, process, visit);
   }
-  visit_rows<OpAgg>({"", true, false}, kOpMetrics, flat, visit);
-  visit_rows<OpAgg>({""}, kOpMetrics, by_ctx, visit);
-  visit_rows<CtxView>({""}, kContextMetrics, contexts, visit);
 
-  Instances<PoolCounters> pools;
-  for (const auto& [id, p] : s.pools) {
-    std::string key = std::to_string(id);
-    pools.push_back({key, {"pools", key}, label("pool", key), p});
+  if (parts & kOpsPart) {
+    Instances<OpAgg> flat;
+    for (const auto& [op, a] : s.ops)
+      flat.push_back({op, {"ops", op}, "", &a});
+    visit_rows<OpAgg>({"", true, false}, kOpMetrics, flat, visit);
   }
-  visit_rows<PoolCounters>({"pool.", true, true, true}, kPoolMetrics, pools,
-                           visit);
-
-  Instances<LockAgg> locks;
-  for (const auto& [site, a] : s.locks)
-    locks.push_back({site, {"locks", site}, label("site", site), &a});
-  visit_rows<LockAgg>({"lock.", true, true, true}, kLockMetrics, locks, visit);
-
-  const Instances<Process> ring = {{"", {"decisions"}, "", &kProcess}};
-  visit_rows<Process>({"decision."}, decision_ring_metrics(), ring, visit);
-  static const auto kSites = [] {
-    std::array<DecisionSite, kDecisionSiteCount> a{};
-    for (int i = 0; i < kDecisionSiteCount; ++i)
-      a[i] = static_cast<DecisionSite>(i);
-    return a;
-  }();
-  Instances<DecisionSite> sites;
-  for (const DecisionSite& site : kSites) {
-    const char* name = decision_site_name(site);
-    sites.push_back({name, {"decisions", "sites", name}, label("site", name),
-                     &site});
+  if (parts & kContextsPart) {
+    Instances<OpAgg> by_ctx;
+    Instances<CtxView> contexts;
+    for (const auto& [id, c] : s.contexts) {
+      std::string key = std::to_string(id);
+      auto ctx = static_cast<int64_t>(id);
+      contexts.push_back(
+          {"", {"contexts", key}, label("context", key), &c, ctx});
+      for (const auto& [op, a] : c.ops)
+        by_ctx.push_back({op, {"contexts", key, "ops", op},
+                          label("context", key, label("op", op)), &a, ctx});
+    }
+    visit_rows<OpAgg>({""}, kOpMetrics, by_ctx, visit);
+    visit_rows<CtxView>({""}, kContextMetrics, contexts, visit);
   }
-  visit_rows<DecisionSite>({"decision.", true, true, true},
-                           decision_site_metrics(), sites, visit);
 
-  // Regions are keyed by position, as in the JSON "prof.regions" array.
-  Instances<ProfRegion> regions;
-  for (size_t i = 0; i < s.prof.size(); ++i) {
-    const ProfRegion& r = s.prof[i];
-    std::string key = std::to_string(i);
-    regions.push_back({key, {"prof", "regions", key},
-                       label("context", std::to_string(r.ctx),
-                             label("strategy", r.strategy, label("op", r.op))),
-                       &r});
+  if (parts & kPoolsPart) {
+    Instances<PoolCounters> pools;
+    for (const auto& [id, p] : s.pools) {
+      std::string key = std::to_string(id);
+      pools.push_back({key, {"pools", key}, label("pool", key), p});
+    }
+    visit_rows<PoolCounters>({"pool.", true, true, true}, kPoolMetrics, pools,
+                             visit);
   }
-  visit_rows<ProfRegion>({"prof.", true, true, true}, prof_region_metrics(),
-                         regions, visit);
-  visit_rows<Snapshot>({"prof.", false, false}, kProfAliases,
-                       {{"", {}, "", &s}}, visit);
+
+  if (parts & kLocksPart) {
+    Instances<LockAgg> locks;
+    for (const auto& [site, a] : s.locks)
+      locks.push_back({site, {"locks", site}, label("site", site), &a});
+    visit_rows<LockAgg>({"lock.", true, true, true}, kLockMetrics, locks,
+                        visit);
+  }
+
+  if (parts & kDecisionsPart) {
+    const Instances<Process> ring = {{"", {"decisions"}, "", &kProcess}};
+    visit_rows<Process>({"decision."}, decision_ring_metrics(), ring, visit);
+    static const auto kSites = [] {
+      std::array<DecisionSite, kDecisionSiteCount> a{};
+      for (int i = 0; i < kDecisionSiteCount; ++i)
+        a[i] = static_cast<DecisionSite>(i);
+      return a;
+    }();
+    Instances<DecisionSite> sites;
+    for (const DecisionSite& site : kSites) {
+      const char* name = decision_site_name(site);
+      sites.push_back({name, {"decisions", "sites", name}, label("site", name),
+                       &site});
+    }
+    visit_rows<DecisionSite>({"decision.", true, true, true},
+                             decision_site_metrics(), sites, visit);
+  }
+
+  if (parts & kProfPart) {
+    // Regions are keyed by position, as in the JSON "prof.regions" array.
+    Instances<ProfRegion> regions;
+    for (size_t i = 0; i < s.prof.size(); ++i) {
+      const ProfRegion& r = s.prof[i];
+      std::string key = std::to_string(i);
+      regions.push_back(
+          {key, {"prof", "regions", key},
+           label("context", std::to_string(r.ctx),
+                 label("strategy", r.strategy, label("op", r.op))),
+           &r});
+    }
+    visit_rows<ProfRegion>({"prof.", true, true, true}, prof_region_metrics(),
+                           regions, visit);
+    visit_rows<Snapshot>({"prof.", false, false}, kProfAliases,
+                         {{"", {}, "", &s}}, visit);
+  }
 }
 
 bool strip_prefix(std::string_view* s, std::string_view prefix) {
@@ -1248,9 +1302,9 @@ bool strip_prefix(std::string_view* s, std::string_view prefix) {
 }
 
 // Looks `name` up among the cells of context `ctx` (-1: the
-// process-wide spellings), comparing it piece by piece.
+// process-wide spellings) in `parts`, comparing it piece by piece.
 bool find_cell(const Snapshot& s, int64_t ctx, const char* name,
-               uint64_t* value) {
+               unsigned parts, uint64_t* value) {
   *value = 0;
   bool found = false;
   walk(s, [&](const Dim& d, const auto& m, const auto* in, uint64_t v) {
@@ -1264,7 +1318,7 @@ bool find_cell(const Snapshot& s, int64_t ctx, const char* name,
     if (rest != m.name) return;
     *value = v;
     found = true;
-  });
+  }, parts);
   return found;
 }
 
@@ -1357,14 +1411,25 @@ std::vector<MetricCell> metric_cells() {
   return cells;
 }
 
+// A lookup resolves its name to one part and reads only that part; an
+// op row "<op>.<field>" reads only that op (op fields have no dots).
+std::string_view op_of(std::string_view name) {
+  return name.substr(0, std::min(name.rfind('.'), name.size()));
+}
+
 bool stats_get(const char* name, uint64_t* value) {
-  return find_cell(take_snapshot(false), -1, name, value);
+  const std::string_view n = name == nullptr ? "" : name;
+  const unsigned parts = part_of(n);
+  return find_cell(take_snapshot(false, parts, op_of(n)), -1, name, parts,
+                   value);
 }
 
 bool stats_get_ctx(uint64_t ctx_id, const char* name, uint64_t* value) {
-  Snapshot s = take_snapshot(false);
+  const std::string_view n = name == nullptr ? "" : name;
+  Snapshot s = take_snapshot(false, kContextsPart, op_of(n));
   s.contexts[ctx_id];  // a context nothing was attributed to still answers
-  return find_cell(s, static_cast<int64_t>(ctx_id), name, value);
+  return find_cell(s, static_cast<int64_t>(ctx_id), name, kContextsPart,
+                   value);
 }
 
 std::string stats_json(bool trim_zero_rows) {

@@ -106,9 +106,12 @@ namespace detail {
 // TLS attribution slots (defined in telemetry.cpp).  The accessors are
 // inline so the unconditional save/restore in every CurrentOpScope is a
 // plain TLS load/store, not a cross-TU call — this pair is on the
-// flags==0 fast path of every C API entry.
-extern thread_local const char* t_current_op;
-extern thread_local uint64_t t_current_ctx;
+// flags==0 fast path of every C API entry.  constinit tells every TU
+// the slots need no dynamic initialization, so the compiler reads them
+// directly instead of through a TLS wrapper function (which UBSan's
+// null check trips on).
+extern constinit thread_local const char* t_current_op;
+extern constinit thread_local uint64_t t_current_ctx;
 }  // namespace detail
 
 inline const char* current_op() {              // never null

@@ -1,6 +1,4 @@
 // GrB_mxm: C<M,r> = C (+) A*B over a semiring.
-#include <algorithm>
-
 #include "containers/format.hpp"
 #include "obs/decision.hpp"
 #include "obs/profiler.hpp"
@@ -8,6 +6,25 @@
 #include "ops/mxm.hpp"
 
 namespace grb {
+namespace {
+
+// The masked-dot kernel's merge-list work, exactly what the cost model
+// estimates from average degrees: for each mask entry (i,j) the lengths
+// of A(i,:) and B'(j,:), plus nnz(B) for the transpose of B.
+uint64_t masked_dot_work(const MatrixData& a, const MatrixData& bt,
+                         const MatrixData& mask) {
+  uint64_t work = bt.nvals();
+  for (Index i = 0; i < mask.nrows && i < a.nrows; ++i) {
+    const uint64_t arow = a.ptr[i + 1] - a.ptr[i];
+    for (size_t km = mask.ptr[i]; km < mask.ptr[i + 1]; ++km) {
+      const Index j = mask.col[km];
+      if (j < bt.nrows) work += arow + (bt.ptr[j + 1] - bt.ptr[j]);
+    }
+  }
+  return work;
+}
+
+}  // namespace
 
 Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
          const Semiring* s, const Matrix* a, const Matrix* b,
@@ -38,14 +55,8 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t0 = d.tran0(), t1 = d.tran1();
-  // Plain replace: c is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to c are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
+  FuseNode node =
+      product_node(mask == nullptr && accum == nullptr && !d.mask_comp());
   return defer_or_run(
       c,
       [c, a_snap, b_snap, m_snap, s, spec, t0, t1]() -> Info {
@@ -55,7 +66,6 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
             t1 ? format_transpose_view(b_snap) : b_snap;
         Context* ctx =
             exec_context(c->context(), av->nvals() + bv->nvals());
-        std::shared_ptr<MatrixData> t;
         // One symbolic pass per snapshot pair: the strategy cost model,
         // the adaptive engine and the flops telemetry all share it (and
         // the per-snapshot cache de-duplicates repeated calls on the
@@ -72,15 +82,11 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // it when the mask is sparse enough that per-position dots beat
         // the full Gustavson expansion.
         obs::DecisionTicket dot_ticket;
+        bool run_dot = false;
         if (m_snap != nullptr && spec.mask_structure && !spec.mask_comp) {
           MxmStrategy strat = mxm_strategy();
           bool use_dot = strat == MxmStrategy::kMaskedDot;
-          // Transposing B allocates O(ncols(B)) column pointers; the
-          // dot strategy is off the table for hypersparse column
-          // dimensions the budget cannot afford.
-          bool bt_ok = static_cast<uint64_t>(bv->ncols) * 2 *
-                           sizeof(Index) <=
-                       spgemm_dense_budget();
+          bool bt_ok = transpose_affordable(bv->ncols);
           if (strat == MxmStrategy::kAuto && bt_ok) {
             // Cost model: Gustavson expands every (i,k) of A into row k
             // of B; masked dot merges A(i,:) with B'(j,:) per mask entry.
@@ -101,26 +107,28 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
                 static_cast<double>(use_dot ? row_costs().total
                                             : flops_dot));
           }
-          if (use_dot && bt_ok) {
-            obs::ProfScope prof("dot");
-            auto bt = format_transpose_view(bv);
-            t = fastpath_masked_dot_mxm(ctx, *av, *bt, *m_snap, s);
-            if (t == nullptr) {
-              t = mxm_masked_dot_kernel(ctx, *av, *bt, *m_snap,
-                                        s->mul()->ztype(), [&] {
-                                          return SemiringRunner(
-                                              s, av->type, bt->type);
-                                        });
-            }
-          }
+          run_dot = use_dot && bt_ok;
         }
-        if (t == nullptr) t = fastpath_mxm(ctx, *av, *bv, s, row_costs());
-        if (t == nullptr) {
-          t = spgemm_mxm(ctx, *av, *bv, s->mul()->ztype(), row_costs(),
-                         [&] { return SemiringRunner(s, av->type, bv->type); });
+        std::shared_ptr<const MatrixData> bt;
+        std::shared_ptr<MatrixData> t = with_semiring_runner(
+            s, av->type, bv->type, [&](const auto& runner) {
+              if (run_dot) {
+                obs::ProfScope prof("dot");
+                bt = format_transpose_view(bv);
+                return mxm_masked_dot_kernel(ctx, *av, *bt, *m_snap,
+                                             s->mul()->ztype(), runner);
+              }
+              return spgemm_mxm(ctx, *av, *bv, s->mul()->ztype(),
+                                row_costs(), runner);
+            });
+        // Measured in the unit each side predicts: the merge-list work
+        // the average-degree model estimates, or the symbolic flops.
+        if (dot_ticket.seq != 0) {
+          obs::decision_measure(dot_ticket,
+                                run_dot
+                                    ? masked_dot_work(*av, *bt, *m_snap)
+                                    : row_costs().total);
         }
-        obs::decision_measure(dot_ticket,
-                              static_cast<uint64_t>(t->nvals()));
         if (obs::stats_enabled()) {
           // SpGEMM flop metric: every A(i,k) expands into row k of B
           // (multiply count of the Gustavson formulation) — the cached
@@ -131,20 +139,7 @@ Info mxm(Matrix* c, const Matrix* mask, const BinaryOp* accum,
         // publish below re-evaluates c's storage format, and the
         // already-paid symbolic pass is a free density signal.
         if (costs != nullptr) format_hint_flops(costs->total);
-        auto c_old = c->current_canonical();
-        // Identity write-back: with no mask and no accumulator Z = T
-        // replaces C wholesale, so when no cast is needed T itself is
-        // published and the per-element merged rebuild is skipped.  The
-        // kernels emit sorted deduplicated rows, so T is already a
-        // valid materialized matrix.
-        if (m_snap == nullptr && spec.accum == nullptr &&
-            t->type == c_old->type) {
-          if (obs::stats_enabled()) obs::add_scalars(t->nvals());
-          c->publish(std::move(t));
-        } else {
-          c->publish(
-              writeback_matrix(ctx, *c_old, *t, m_snap.get(), spec));
-        }
+        publish_product(c, ctx, std::move(t), m_snap.get(), spec);
         return Info::kSuccess;
       },
       std::move(node));

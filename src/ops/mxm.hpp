@@ -1,9 +1,10 @@
-// Internal mxm/mxv/vxm kernel interfaces and the typed fast-path hooks.
-//
-// The row-wise SpGEMM accumulators and the adaptive engine itself live
-// in ops/spgemm.hpp; this header keeps the semiring runner, the
-// dot-product kernels, strategy knobs and the fastpath dispatch surface.
+// The semiring kernel layer behind mxm, vxm and mxv: the runners that
+// carry the semiring's scalar ops into a kernel, the one dispatch that
+// picks a runner, and the dot-product kernels.  The row-wise SpGEMM
+// accumulators and the adaptive engine live in ops/spgemm.hpp.
 #pragma once
+
+#include <type_traits>
 
 #include "ops/common.hpp"
 #include "ops/op_apply.hpp"
@@ -11,20 +12,50 @@
 
 namespace grb {
 
+// The fusion node of a product into `out`.  A plain replace (no mask, no
+// accumulator, no complement) rebuilds `out` from the snapshots without
+// reading its old state (a self-input completed at snapshot time), so
+// earlier queued writes to it are dead.  Opaque to chain fusion.
+inline FuseNode product_node(bool plain) {
+  FuseNode node;
+  node.reads_out = !plain;
+  node.full_replace = plain;
+  return node;
+}
+
+// Publishes the product T into `out` through the mask/accum write-back.
+// Identity write-back: with no mask and no accumulator Z = T replaces
+// the output wholesale, so when no cast is needed T itself is published
+// and the per-element merged rebuild is skipped.  The kernels emit
+// sorted deduplicated rows, so T is already a valid materialized object.
+template <class Out, class Data>
+void publish_product(Out* out, Context* ctx, std::shared_ptr<Data> t,
+                     const Data* mask, const WritebackSpec& spec) {
+  auto old = out->current_canonical();
+  if (mask == nullptr && spec.accum == nullptr && t->type == old->type) {
+    if (obs::stats_enabled()) obs::add_scalars(t->nvals());
+    out->publish(std::move(t));
+  } else if constexpr (std::is_same_v<Data, VectorData>) {
+    out->publish(writeback_vector(ctx, *old, *t, mask, spec));
+  } else {
+    out->publish(writeback_matrix(ctx, *old, *t, mask, spec));
+  }
+}
+
 // Generic semiring runner over type-erased values: multiply casts the
-// stored a/b values into the multiplier's domains, add folds a ztype
+// stored x/y values into the multiplier's domains, add folds a ztype
 // product into a ztype accumulator with the monoid.  This is the
 // "function-pointer call per scalar operation" path the paper's §II
-// motivation describes; fastpath.cpp provides statically typed
-// replacements for hot (semiring, type) pairs.
+// motivation describes; TypedRunner below replaces it for hot (semiring,
+// type) pairs.
 class SemiringRunner {
  public:
-  SemiringRunner(const Semiring* s, const Type* atype, const Type* btype)
-      : mul_(s->mul(), atype, btype),
+  SemiringRunner(const Semiring* s, const Type* xtype, const Type* ytype)
+      : mul_(s->mul(), xtype, ytype),
         add_(s->add()->op(), s->mul()->ztype(), s->mul()->ztype()) {}
 
-  // z (mul ztype) = a * b
-  void mul(void* z, const void* a, const void* b) { mul_.run(z, a, b); }
+  // z (mul ztype) = x * y
+  void mul(void* z, const void* x, const void* y) { mul_.run(z, x, y); }
   // acc = acc (+) z, both in mul ztype
   void add(void* acc, const void* z) { add_.run(acc, acc, z); }
 
@@ -33,168 +64,169 @@ class SemiringRunner {
   BinRunner add_;
 };
 
-// Column-parallel dot-product kernel for vxm (u^T * A).  `at` is A
-// transposed (CSR of A'), so output entry j folds the products of u(i)
-// and A(i,j) over at's row j in ascending i — exactly the order the
-// serial SPA kernel accumulates them in, which makes the two paths
-// bitwise-identical even for non-associative floating-point rounding.
-// u is probed through the budget-gated VecProbe (dense gather when
-// affordable, binary search for hypersparse dimensions).
-template <class MakeRunner>
-std::shared_ptr<VectorData> vxm_dot_kernel(Context* ctx,
-                                           const VectorData& u,
-                                           const MatrixData& at,
-                                           const Type* ztype,
-                                           MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, at.nrows);
-  size_t zsize = ztype->size();
-  VecProbe probe;
-  probe.init(u);
-  // Structural pass: does output position j receive any product?
-  std::vector<uint8_t> hit(at.nrows, 0);
-  ctx->parallel_for(0, at.nrows, [&](Index lo, Index hi) {
-    for (Index j = lo; j < hi; ++j) {
-      for (size_t ka = at.ptr[j]; ka < at.ptr[j + 1]; ++ka) {
-        if (probe.find(at.col[ka]) != nullptr) {
-          hit[j] = 1;
-          break;
-        }
-      }
-    }
-  });
-  std::vector<Index> slot(at.nrows + 1, 0);
-  for (Index j = 0; j < at.nrows; ++j) slot[j + 1] = slot[j] + hit[j];
-  t->ind.resize(slot[at.nrows]);
-  t->vals.resize(slot[at.nrows]);
-  ctx->parallel_for(0, at.nrows, [&](Index lo, Index hi) {
-    auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index j = lo; j < hi; ++j) {
-      if (!hit[j]) continue;
-      bool first = true;
-      for (size_t ka = at.ptr[j]; ka < at.ptr[j + 1]; ++ka) {
-        const void* uval = probe.find(at.col[ka]);
-        if (uval == nullptr) continue;
-        if (first) {
-          runner.mul(acc.data(), uval, at.vals.at(ka));
-          first = false;
-        } else {
-          runner.mul(prod.data(), uval, at.vals.at(ka));
-          runner.add(acc.data(), prod.data());
-        }
-      }
-      Index s = slot[j];
-      t->ind[s] = j;
-      t->vals.set(s, acc.data());
-    }
-  });
-  return t;
+namespace semiring_ops {
+
+template <class T>
+struct Times {
+  T operator()(T a, T b) const { return static_cast<T>(a * b); }
+};
+template <class T>
+struct Plus {
+  T operator()(T a, T b) const { return static_cast<T>(a + b); }
+};
+template <class T>
+struct Second {
+  T operator()(T, T b) const { return b; }
+};
+template <class T>
+struct First {
+  T operator()(T a, T) const { return a; }
+};
+template <class T>
+struct Land {
+  T operator()(T a, T b) const { return a && b; }
+};
+template <class T>
+struct Min {
+  T operator()(T a, T b) const { return a < b ? a : b; }
+};
+template <class T>
+struct Max {
+  T operator()(T a, T b) const { return a > b ? a : b; }
+};
+template <class T>
+struct Lor {
+  T operator()(T a, T b) const { return a || b; }
+};
+
+}  // namespace semiring_ops
+
+// Statically typed runner: the same mul/add interface as SemiringRunner
+// with the arithmetic inlined into the kernel body.
+template <class T, class Mul, class Add>
+class TypedRunner {
+ public:
+  void mul(void* z, const void* x, const void* y) {
+    T a, b;
+    std::memcpy(&a, x, sizeof(T));
+    std::memcpy(&b, y, sizeof(T));
+    T r = Mul()(a, b);
+    std::memcpy(z, &r, sizeof(T));
+  }
+  void add(void* acc, const void* z) {
+    T a, b;
+    std::memcpy(&a, acc, sizeof(T));
+    std::memcpy(&b, z, sizeof(T));
+    T r = Add()(a, b);
+    std::memcpy(acc, &r, sizeof(T));
+  }
+};
+
+// True when the semiring is exactly <add, mul> over T with no casts.
+template <class T>
+bool semiring_is(const Semiring* s, BinOpCode add, BinOpCode mul,
+                 const Type* xtype, const Type* ytype) {
+  const Type* t = type_of<T>();
+  return s->add()->op()->opcode() == add && s->mul()->opcode() == mul &&
+         s->mul()->ztype() == t && s->mul()->xtype() == t &&
+         s->mul()->ytype() == t && xtype == t && ytype == t;
 }
 
-// Row-parallel dot-product kernel for mxv (A * u).  u is probed through
-// the budget-gated VecProbe; each row of A then probes it.
-template <class MakeRunner>
-std::shared_ptr<VectorData> mxv_kernel(Context* ctx, const MatrixData& a,
+// Calls f once with the runner for semiring s over stored x/y operands
+// of types xtype/ytype: a TypedRunner when (add, mul, T) is one of the
+// hot builtin combinations below, a SemiringRunner otherwise.  Each
+// kernel f reaches is instantiated once per combination plus once
+// generically, in the calling translation unit.
+template <class F>
+auto with_semiring_runner(const Semiring* s, const Type* xtype,
+                          const Type* ytype, F&& f) {
+  using namespace semiring_ops;
+#define GRB_TRY_COMBO(T, ADDC, MULC, ADDF, MULF)                        \
+  if (semiring_is<T>(s, BinOpCode::ADDC, BinOpCode::MULC, xtype, ytype)) \
+    return f(TypedRunner<T, MULF<T>, ADDF<T>>{});
+  GRB_TRY_COMBO(double, kPlus, kTimes, Plus, Times)
+  GRB_TRY_COMBO(float, kPlus, kTimes, Plus, Times)
+  GRB_TRY_COMBO(int64_t, kPlus, kTimes, Plus, Times)
+  GRB_TRY_COMBO(int32_t, kPlus, kTimes, Plus, Times)
+  GRB_TRY_COMBO(uint64_t, kPlus, kTimes, Plus, Times)
+  GRB_TRY_COMBO(double, kMin, kPlus, Min, Plus)
+  GRB_TRY_COMBO(int64_t, kMin, kPlus, Min, Plus)
+  GRB_TRY_COMBO(int32_t, kMin, kPlus, Min, Plus)
+  GRB_TRY_COMBO(double, kMax, kPlus, Max, Plus)
+  GRB_TRY_COMBO(int64_t, kMax, kPlus, Max, Plus)
+  GRB_TRY_COMBO(double, kMin, kSecond, Min, Second)
+  GRB_TRY_COMBO(double, kMin, kFirst, Min, First)
+  GRB_TRY_COMBO(double, kPlus, kSecond, Plus, Second)
+  GRB_TRY_COMBO(bool, kLor, kLand, Lor, Land)
+#undef GRB_TRY_COMBO
+  return f(SemiringRunner(s, xtype, ytype));
+}
+
+// Two-pass dot-product kernel behind mxv (A*u) and the parallel vxm
+// (u^T*A, run over the rows of A').  Output entry r folds the products
+// of row r of `a` with u in ascending column order; over A' that is the
+// ascending row order the serial SPA accumulates in, which makes the
+// two vxm paths bitwise-identical even for non-associative
+// floating-point rounding.  kVecFirst says whether mul takes u's value
+// as its x operand (vxm) or as its y (mxv).  `rows`, when given, is the
+// row-id list of a hypersparse `a` (a.hrow; ptr is compacted to one
+// entry per listed row), so only its nonempty rows are visited, in
+// ascending id; otherwise row positions are row ids.  u is probed
+// through the budget-gated VecProbe (dense gather when affordable,
+// binary search for hypersparse dimensions).
+template <bool kVecFirst, class Runner>
+std::shared_ptr<VectorData> dot_kernel(Context* ctx, const MatrixData& a,
+                                       const Index* rows,
                                        const VectorData& u,
                                        const Type* ztype,
-                                       MakeRunner&& make_runner) {
+                                       const Runner& proto) {
   auto t = std::make_shared<VectorData>(ztype, a.nrows);
   size_t zsize = ztype->size();
+  const Index nr = a.ptr.size() - 1;  // stored rows
   VecProbe probe;
   probe.init(u);
-  // Structural pass: does row i hit any entry of u?
-  std::vector<uint8_t> hit(a.nrows, 0);
-  ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    for (Index i = lo; i < hi; ++i) {
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
+  // Structural pass: does stored row r hit any entry of u?
+  std::vector<uint8_t> hit(nr, 0);
+  ctx->parallel_for(0, nr, [&](Index lo, Index hi) {
+    for (Index r = lo; r < hi; ++r) {
+      for (size_t ka = a.ptr[r]; ka < a.ptr[r + 1]; ++ka) {
         if (probe.find(a.col[ka]) != nullptr) {
-          hit[i] = 1;
+          hit[r] = 1;
           break;
         }
       }
     }
   });
-  std::vector<Index> slot(a.nrows + 1, 0);
-  for (Index i = 0; i < a.nrows; ++i) slot[i + 1] = slot[i] + hit[i];
-  t->ind.resize(slot[a.nrows]);
-  t->vals.resize(slot[a.nrows]);
-  ctx->parallel_for(0, a.nrows, [&](Index lo, Index hi) {
-    auto runner = make_runner();
+  std::vector<Index> slot(nr + 1, 0);
+  for (Index r = 0; r < nr; ++r) slot[r + 1] = slot[r] + hit[r];
+  t->ind.resize(slot[nr]);
+  t->vals.resize(slot[nr]);
+  ctx->parallel_for(0, nr, [&](Index lo, Index hi) {
+    Runner runner = proto;
+    auto mul = [&runner](void* z, const void* aval, const void* uval) {
+      if constexpr (kVecFirst) {
+        runner.mul(z, uval, aval);
+      } else {
+        runner.mul(z, aval, uval);
+      }
+    };
     ValueBuf acc(zsize), prod(zsize);
-    for (Index i = lo; i < hi; ++i) {
-      if (!hit[i]) continue;
+    for (Index r = lo; r < hi; ++r) {
+      if (!hit[r]) continue;
       bool first = true;
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
+      for (size_t ka = a.ptr[r]; ka < a.ptr[r + 1]; ++ka) {
         const void* uval = probe.find(a.col[ka]);
         if (uval == nullptr) continue;
         if (first) {
-          runner.mul(acc.data(), a.vals.at(ka), uval);
+          mul(acc.data(), a.vals.at(ka), uval);
           first = false;
         } else {
-          runner.mul(prod.data(), a.vals.at(ka), uval);
+          mul(prod.data(), a.vals.at(ka), uval);
           runner.add(acc.data(), prod.data());
         }
       }
-      Index s = slot[i];
-      t->ind[s] = i;
-      t->vals.set(s, acc.data());
-    }
-  });
-  return t;
-}
-
-// Hypersparse variant of mxv_kernel: iterates only the nonempty rows
-// listed in a.hrow (a must be MatFormat::kHyper, whose ptr array is
-// compacted to hrow.size()+1 entries).  Per-row fold order matches the
-// CSR kernel exactly — same column order, same first/add sequence — and
-// nonempty rows are visited in ascending row id, so the output is
-// bitwise-identical to running mxv_kernel on the expanded CSR view.
-template <class MakeRunner>
-std::shared_ptr<VectorData> mxv_hyper_kernel(Context* ctx,
-                                             const MatrixData& a,
-                                             const VectorData& u,
-                                             const Type* ztype,
-                                             MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, a.nrows);
-  size_t zsize = ztype->size();
-  VecProbe probe;
-  probe.init(u);
-  Index nh = a.hrow.size();
-  // Structural pass over the compact row list only.
-  std::vector<uint8_t> hit(nh, 0);
-  ctx->parallel_for(0, nh, [&](Index lo, Index hi) {
-    for (Index h = lo; h < hi; ++h) {
-      for (size_t ka = a.ptr[h]; ka < a.ptr[h + 1]; ++ka) {
-        if (probe.find(a.col[ka]) != nullptr) {
-          hit[h] = 1;
-          break;
-        }
-      }
-    }
-  });
-  std::vector<Index> slot(nh + 1, 0);
-  for (Index h = 0; h < nh; ++h) slot[h + 1] = slot[h] + hit[h];
-  t->ind.resize(slot[nh]);
-  t->vals.resize(slot[nh]);
-  ctx->parallel_for(0, nh, [&](Index lo, Index hi) {
-    auto runner = make_runner();
-    ValueBuf acc(zsize), prod(zsize);
-    for (Index h = lo; h < hi; ++h) {
-      if (!hit[h]) continue;
-      bool first = true;
-      for (size_t ka = a.ptr[h]; ka < a.ptr[h + 1]; ++ka) {
-        const void* uval = probe.find(a.col[ka]);
-        if (uval == nullptr) continue;
-        if (first) {
-          runner.mul(acc.data(), a.vals.at(ka), uval);
-          first = false;
-        } else {
-          runner.mul(prod.data(), a.vals.at(ka), uval);
-          runner.add(acc.data(), prod.data());
-        }
-      }
-      Index s = slot[h];
-      t->ind[s] = a.hrow[h];
+      Index s = slot[r];
+      t->ind[s] = rows != nullptr ? rows[r] : r;
       t->vals.set(s, acc.data());
     }
   });
@@ -206,13 +238,13 @@ std::shared_ptr<VectorData> mxv_hyper_kernel(Context* ctx,
 // A's row i and B'(j,:).  This is the kernel masked multiplies like
 // triangle counting want: work is O(nnz(M) * avg-row) instead of the
 // full Gustavson expansion.  `bt` is B transposed (CSR of B').
-template <class MakeRunner>
+template <class Runner>
 std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
                                                   const MatrixData& a,
                                                   const MatrixData& bt,
                                                   const MatrixData& mask,
                                                   const Type* ztype,
-                                                  MakeRunner&& make_runner) {
+                                                  const Runner& proto) {
   auto t = std::make_shared<MatrixData>(ztype, a.nrows, bt.nrows);
   Index nrows = a.nrows;
   size_t zsize = ztype->size();
@@ -250,7 +282,7 @@ std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
 
   // Pass 2: dot products straight into place.
   ctx->parallel_for(0, nrows, [&](Index lo, Index hi) {
-    auto runner = make_runner();
+    Runner runner = proto;
     ValueBuf acc(zsize), prod(zsize);
     for (Index i = lo; i < hi; ++i) {
       if (i >= mask.nrows) continue;
@@ -288,46 +320,5 @@ std::shared_ptr<MatrixData> mxm_masked_dot_kernel(Context* ctx,
   });
   return t;
 }
-
-enum class MxmStrategy {
-  kAuto = 0,       // heuristic: masked-dot for sparse structural masks
-  kGustavson = 1,  // always row-wise SPA
-  kMaskedDot = 2,  // always masked dot products (needs structural mask)
-};
-
-// Global strategy override for the masked-mxm ablation bench.
-MxmStrategy mxm_strategy();
-void set_mxm_strategy(MxmStrategy strategy);
-
-// ---- typed fast path (ops/fastpath.cpp) -----------------------------------
-
-// Global switch so the M2 ablation bench can force the generic path.
-bool fastpath_enabled();
-void set_fastpath_enabled(bool enabled);
-
-// Attempt a statically typed mxm/vxm/mxv; returns nullptr when the
-// (semiring, types) combination has no registered fast kernel.  `costs`
-// is the shared symbolic pass, so the typed kernels instantiate the
-// same adaptive accumulators with no extra scan.
-std::shared_ptr<MatrixData> fastpath_mxm(Context* ctx, const MatrixData& a,
-                                         const MatrixData& b,
-                                         const Semiring* s,
-                                         const SpgemmRowCosts& costs);
-std::shared_ptr<MatrixData> fastpath_masked_dot_mxm(Context* ctx,
-                                                    const MatrixData& a,
-                                                    const MatrixData& bt,
-                                                    const MatrixData& mask,
-                                                    const Semiring* s);
-std::shared_ptr<VectorData> fastpath_vxm(const VectorData& u,
-                                         const MatrixData& a,
-                                         const Semiring* s);
-// Parallel variant over A transposed (see vxm_dot_kernel).
-std::shared_ptr<VectorData> fastpath_vxm_dot(Context* ctx,
-                                             const VectorData& u,
-                                             const MatrixData& at,
-                                             const Semiring* s);
-std::shared_ptr<VectorData> fastpath_mxv(Context* ctx, const MatrixData& a,
-                                         const VectorData& u,
-                                         const Semiring* s);
 
 }  // namespace grb

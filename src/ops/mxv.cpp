@@ -1,6 +1,4 @@
 // GrB_mxv: w<m,r> = w (+) A*u over a semiring.
-#include <algorithm>
-
 #include "obs/telemetry.hpp"
 #include "ops/mxm.hpp"
 
@@ -34,49 +32,29 @@ Info mxv(Vector* w, const Vector* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t0 = d.tran0();
-  // Plain replace: w is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to w are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
+  FuseNode node =
+      product_node(mask == nullptr && accum == nullptr && !d.mask_comp());
   return defer_or_run(w, [w, a_snap, u_snap, m_snap, s, spec, t0]() -> Info {
     Context* ctx =
         exec_context(w->context(), a_snap->nvals() + u_snap->nvals());
-    std::shared_ptr<VectorData> t;
-    std::shared_ptr<const MatrixData> av;
-    if (!t0 && a_snap->format == MatFormat::kHyper) {
-      // Hypersparse fast path: visit only the nonempty rows.  Bitwise-
-      // identical to the CSR kernel (same per-row fold order).
-      av = a_snap;
-      t = mxv_hyper_kernel(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
-        return SemiringRunner(s, av->type, u_snap->type);
-      });
-    } else {
-      av = t0 ? format_transpose_view(a_snap) : format_csr_view(a_snap);
-      t = fastpath_mxv(ctx, *av, *u_snap, s);
-      if (t == nullptr) {
-        // mul's x comes from the matrix, y from the vector.
-        t = mxv_kernel(ctx, *av, *u_snap, s->mul()->ztype(), [&] {
-          return SemiringRunner(s, av->type, u_snap->type);
+    // A hypersparse A visits only its nonempty rows, with the same
+    // per-row fold order as its CSR view, so the result is bitwise-
+    // identical to expanding it first.
+    const bool hyper = !t0 && a_snap->format == MatFormat::kHyper;
+    std::shared_ptr<const MatrixData> av =
+        hyper ? a_snap
+        : t0  ? format_transpose_view(a_snap)
+              : format_csr_view(a_snap);
+    // mul's x comes from the matrix, y from the vector.
+    std::shared_ptr<VectorData> t = with_semiring_runner(
+        s, av->type, u_snap->type, [&](const auto& runner) {
+          return dot_kernel<false>(ctx, *av, hyper ? av->hrow.data() : nullptr,
+                                   *u_snap, s->mul()->ztype(), runner);
         });
-      }
-    }
     // SpMV flop metric: one multiply-add per stored A entry (upper
     // bound; sparse u skips some).
     if (obs::stats_enabled()) obs::add_flops(av->nvals());
-    auto c_old = w->current_canonical();
-    // Identity write-back (see mxm.cpp): unmasked, unaccumulated, no
-    // cast — T replaces w wholesale.
-    if (m_snap == nullptr && spec.accum == nullptr &&
-        t->type == c_old->type) {
-      if (obs::stats_enabled()) obs::add_scalars(t->nvals());
-      w->publish(std::move(t));
-    } else {
-      w->publish(writeback_vector(ctx, *c_old, *t, m_snap.get(), spec));
-    }
+    publish_product(w, ctx, std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, std::move(node));
 }

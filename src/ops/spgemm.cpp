@@ -1,8 +1,6 @@
 #include "ops/spgemm.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace grb {
@@ -13,53 +11,13 @@ namespace {
 constexpr uint64_t kSmallDenseBytes = 256u << 10;
 constexpr size_t kDefaultDenseBudget = 64u << 20;
 
-// -1 = not yet resolved; resolved lazily so GRB_SPGEMM is honored no
-// matter which entry point touches the engine first.
-std::atomic<int> g_mode{-1};
-std::atomic<uint64_t> g_dense_budget{0};
-
-SpgemmMode resolve_mode_from_env() {
-  const char* env = std::getenv("GRB_SPGEMM");
-  if (env != nullptr) {
-    if (std::strcmp(env, "hash") == 0) return SpgemmMode::kHash;
-    if (std::strcmp(env, "dense") == 0) return SpgemmMode::kDense;
-    if (std::strcmp(env, "reference") == 0) return SpgemmMode::kReference;
-  }
-  return SpgemmMode::kAuto;
-}
-
-uint64_t resolve_budget_from_env() {
-  const char* env = std::getenv("GRB_SPGEMM_DENSE_BUDGET");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && v != 0) return v;
-  }
-  return kDefaultDenseBudget;
-}
+std::atomic<uint64_t> g_dense_budget{kDefaultDenseBudget};
+std::atomic<int> g_mxm_strategy{0};  // MxmStrategy::kAuto
 
 }  // namespace
 
-SpgemmMode spgemm_mode() {
-  int m = g_mode.load(std::memory_order_relaxed);
-  if (m >= 0) return static_cast<SpgemmMode>(m);
-  SpgemmMode resolved = resolve_mode_from_env();
-  // A concurrent first use resolves to the same value; a concurrent
-  // set_spgemm_mode may overwrite this store, which is the newer intent.
-  g_mode.store(static_cast<int>(resolved), std::memory_order_relaxed);
-  return resolved;
-}
-
-void set_spgemm_mode(SpgemmMode mode) {
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
 size_t spgemm_dense_budget() {
-  uint64_t b = g_dense_budget.load(std::memory_order_relaxed);
-  if (b != 0) return static_cast<size_t>(b);
-  uint64_t resolved = resolve_budget_from_env();
-  g_dense_budget.store(resolved, std::memory_order_relaxed);
-  return static_cast<size_t>(resolved);
+  return static_cast<size_t>(g_dense_budget.load(std::memory_order_relaxed));
 }
 
 void set_spgemm_dense_budget(size_t bytes) {
@@ -67,9 +25,18 @@ void set_spgemm_dense_budget(size_t bytes) {
                        std::memory_order_relaxed);
 }
 
+MxmStrategy mxm_strategy() {
+  return static_cast<MxmStrategy>(
+      g_mxm_strategy.load(std::memory_order_relaxed));
+}
+
+void set_mxm_strategy(MxmStrategy strategy) {
+  g_mxm_strategy.store(static_cast<int>(strategy),
+                       std::memory_order_relaxed);
+}
+
 SpgemmPolicy spgemm_policy(Index ncols, size_t zsize) {
   SpgemmPolicy p;
-  p.mode = spgemm_mode();
   // Dense footprint per thread: flag byte + value + touched index per
   // column.
   const uint64_t footprint =

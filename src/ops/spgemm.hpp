@@ -16,22 +16,16 @@
 //      reallocation; the final CSR arrays are sized exactly and filled
 //      with block-sized memcpys.
 //
-// Unlike the seed kernel (structural symbolic expansion + full numeric
-// re-expansion), the engine expands each row ONCE: the numeric pass
-// accumulates into block-local staging, and assembly is a copy.  All
-// accumulators fold the products of a row in identical (ka, kb) visit
-// order and emit columns sorted, so hash/dense/reference modes, any
-// partition, and any thread count produce bitwise-identical results —
-// the determinism contract of DESIGN.md §7.
+// The engine expands each row ONCE: the numeric pass accumulates into
+// block-local staging, and assembly is a copy.  All accumulators fold
+// the products of a row in identical (ka, kb) visit order and emit
+// columns sorted, so hash/dense rows, any partition, and any thread
+// count produce bitwise-identical results — the determinism contract of
+// DESIGN.md §7.
 //
 // Scratch (hash tables, dense SPA, probe bitmaps) lives in the per-
 // thread ScratchArena (exec/thread_pool.hpp), so repeated ops stop
 // paying allocation + first-touch page-fault cost.
-//
-// Overrides: GRB_SPGEMM=hash|dense|auto|reference pins the accumulator
-// choice (reference = the seed two-pass dense-SPA kernel, kept for
-// ablation benches and the differential oracle); GRB_SPGEMM_DENSE_BUDGET
-// sets the dense-scratch byte cap.
 #pragma once
 
 #include <algorithm>
@@ -49,21 +43,30 @@
 
 namespace grb {
 
-enum class SpgemmMode {
-  kAuto = 0,       // per-row heuristic (the default)
-  kHash = 1,       // always hash SPA
-  kDense = 2,      // dense SPA whenever the budget allows
-  kReference = 3,  // seed two-pass dense-SPA kernel (ablation baseline)
-};
-
-SpgemmMode spgemm_mode();
-void set_spgemm_mode(SpgemmMode mode);
-
 // Byte cap for any O(ncols)-shaped scratch (dense SPA, transpose column
-// pointers, dense vector gathers).  Default 64 MiB; GRB_SPGEMM_DENSE_BUDGET
-// overrides.
+// pointers, dense vector gathers).  Default 64 MiB; the setter is a test
+// hook (0 restores the default): a budget under an output's dense
+// footprint puts every row on the hash accumulator.
 size_t spgemm_dense_budget();
 void set_spgemm_dense_budget(size_t bytes);
+
+// Transposing a matrix allocates O(ncols) column pointers: the masked
+// dot and the vxm pull path, which run over a transpose, are off the
+// table for hypersparse column dimensions the budget cannot afford.
+inline bool transpose_affordable(Index ncols) {
+  return static_cast<uint64_t>(ncols) * 2 * sizeof(Index) <=
+         spgemm_dense_budget();
+}
+
+enum class MxmStrategy {
+  kAuto = 0,       // heuristic: masked-dot for sparse structural masks
+  kGustavson = 1,  // always row-wise SPA
+  kMaskedDot = 2,  // always masked dot products (needs structural mask)
+};
+
+// Global strategy override for the masked-mxm tests and ablation bench.
+MxmStrategy mxm_strategy();
+void set_mxm_strategy(MxmStrategy strategy);
 
 // --- symbolic pass ---------------------------------------------------------
 
@@ -91,22 +94,12 @@ void spgemm_cost_cache_clear();
 // Resolved per-product policy: which accumulator does a row with
 // `row_flops` estimated products get?
 struct SpgemmPolicy {
-  SpgemmMode mode;
   bool dense_ok;         // dense footprint fits the byte budget
   bool dense_always;     // footprint small enough to always prefer dense
   uint64_t dense_flops;  // flop threshold justifying an O(ncols) touch
 
   bool use_dense(uint64_t row_flops) const {
-    switch (mode) {
-      case SpgemmMode::kDense:
-        // A pinned dense mode still honors the budget: over it, the
-        // hash SPA is the only allocation that cannot abort the process.
-        return dense_ok;
-      case SpgemmMode::kHash:
-        return false;
-      default:
-        return dense_ok && (dense_always || row_flops >= dense_flops);
-    }
+    return dense_ok && (dense_always || row_flops >= dense_flops);
   }
 };
 
@@ -263,7 +256,7 @@ namespace spgemm_detail {
 
 // Expands row i of A*B into the SPA, then drains the sorted row into the
 // block stage.  Returns the row's output count.  The (ka, kb) fold order
-// here is THE accumulation order for every mode — see the determinism
+// here is THE accumulation order for every accumulator — see the determinism
 // note at the top of the file.
 template <class Spa, class Runner>
 Index expand_row(const MatrixData& a, const MatrixData& b, Index i,
@@ -292,94 +285,13 @@ Index expand_row(const MatrixData& a, const MatrixData& b, Index i,
 
 }  // namespace spgemm_detail
 
-// The seed two-pass kernel, kept verbatim as the ablation baseline and
-// the differential oracle's reference mode: structural symbolic pass +
-// full numeric re-expansion, both over a per-chunk O(ncols) dense SPA.
-template <class MakeRunner>
-std::shared_ptr<MatrixData> spgemm_reference_kernel(Context* ctx,
-                                                    const MatrixData& a,
-                                                    const MatrixData& b,
-                                                    const Type* ztype,
-                                                    MakeRunner&& make_runner) {
-  auto t = std::make_shared<MatrixData>(ztype, a.nrows, b.ncols);
-  Index nrows = a.nrows, ncols = b.ncols;
-  size_t zsize = ztype->size();
-
-  // Symbolic pass: structural row counts.
-  std::vector<Index> counts(nrows, 0);
-  ctx->parallel_for(0, nrows, [&](Index lo, Index hi) {
-    std::vector<uint8_t> flag(ncols, 0);
-    std::vector<Index> touched;
-    for (Index i = lo; i < hi; ++i) {
-      touched.clear();
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
-        Index k = a.col[ka];
-        for (size_t kb = b.ptr[k]; kb < b.ptr[k + 1]; ++kb) {
-          Index j = b.col[kb];
-          if (!flag[j]) {
-            flag[j] = 1;
-            touched.push_back(j);
-          }
-        }
-      }
-      counts[i] = static_cast<Index>(touched.size());
-      for (Index j : touched) flag[j] = 0;
-    }
-  });
-  for (Index i = 0; i < nrows; ++i) t->ptr[i + 1] = t->ptr[i] + counts[i];
-  t->col.resize(t->ptr[nrows]);
-  t->vals.resize(t->ptr[nrows]);
-
-  // Numeric pass.
-  ctx->parallel_for(0, nrows, [&](Index lo, Index hi) {
-    auto runner = make_runner();
-    std::vector<uint8_t> flag(ncols, 0);
-    std::vector<std::byte> spa(static_cast<size_t>(ncols) * zsize);
-    std::vector<Index> touched;
-    ValueBuf prod(zsize);
-    for (Index i = lo; i < hi; ++i) {
-      touched.clear();
-      for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
-        Index k = a.col[ka];
-        const void* aval = a.vals.at(ka);
-        for (size_t kb = b.ptr[k]; kb < b.ptr[k + 1]; ++kb) {
-          Index j = b.col[kb];
-          void* slot = spa.data() + static_cast<size_t>(j) * zsize;
-          if (!flag[j]) {
-            flag[j] = 1;
-            touched.push_back(j);
-            runner.mul(slot, aval, b.vals.at(kb));
-          } else {
-            runner.mul(prod.data(), aval, b.vals.at(kb));
-            runner.add(slot, prod.data());
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      size_t w = t->ptr[i];
-      for (Index j : touched) {
-        t->col[w] = j;
-        std::memcpy(t->vals.at(w), spa.data() + static_cast<size_t>(j) * zsize,
-                    zsize);
-        flag[j] = 0;
-        ++w;
-      }
-    }
-  });
-  return t;
-}
-
 // The adaptive engine: single fused numeric pass into flop-balanced
 // block staging, then an exact-size assembly copy.
-template <class MakeRunner>
+template <class Runner>
 std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
                                        const MatrixData& b, const Type* ztype,
                                        const SpgemmRowCosts& costs,
-                                       MakeRunner&& make_runner) {
-  if (spgemm_mode() == SpgemmMode::kReference) {
-    return spgemm_reference_kernel(ctx, a, b, ztype,
-                                   std::forward<MakeRunner>(make_runner));
-  }
+                                       const Runner& proto) {
   auto t = std::make_shared<MatrixData>(ztype, a.nrows, b.ncols);
   const Index nrows = a.nrows;
   if (nrows == 0 || costs.total == 0) return t;
@@ -426,7 +338,7 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
   obs::ProfScope prof(strategy);
 
   ctx->parallel_for(0, nblocks, 1, [&](Index blo, Index bhi) {
-    auto runner = make_runner();
+    Runner runner = proto;
     ScratchArena& arena = thread_arena();
     HashSpa hspa;
     DenseSpa dspa;
@@ -490,57 +402,12 @@ std::shared_ptr<MatrixData> spgemm_mxm(Context* ctx, const MatrixData& a,
   return t;
 }
 
-// Seed serial SPA kernel for vxm (u^T * A), kept as the reference mode;
-// allocates O(ncols(A)) scratch unconditionally.
-template <class MakeRunner>
-std::shared_ptr<VectorData> vxm_reference_kernel(const VectorData& u,
-                                                 const MatrixData& a,
-                                                 const Type* ztype,
-                                                 MakeRunner&& make_runner) {
-  auto t = std::make_shared<VectorData>(ztype, a.ncols);
-  size_t zsize = ztype->size();
-  auto runner = make_runner();
-  std::vector<uint8_t> flag(a.ncols, 0);
-  std::vector<std::byte> spa(static_cast<size_t>(a.ncols) * zsize);
-  std::vector<Index> touched;
-  ValueBuf prod(zsize);
-  for (size_t ku = 0; ku < u.ind.size(); ++ku) {
-    Index i = u.ind[ku];
-    const void* uval = u.vals.at(ku);
-    for (size_t ka = a.ptr[i]; ka < a.ptr[i + 1]; ++ka) {
-      Index j = a.col[ka];
-      void* slot = spa.data() + static_cast<size_t>(j) * zsize;
-      if (!flag[j]) {
-        flag[j] = 1;
-        touched.push_back(j);
-        runner.mul(slot, uval, a.vals.at(ka));
-      } else {
-        runner.mul(prod.data(), uval, a.vals.at(ka));
-        runner.add(slot, prod.data());
-      }
-    }
-  }
-  std::sort(touched.begin(), touched.end());
-  t->ind.reserve(touched.size());
-  t->vals.reserve(touched.size());
-  for (Index j : touched) {
-    t->ind.push_back(j);
-    t->vals.push_back(spa.data() + static_cast<size_t>(j) * zsize);
-  }
-  return t;
-}
-
 // Adaptive vxm: the output row u^T * A is one SpGEMM row, so it reuses
 // the same policy and accumulators (the hypersparse-ncols fix for the
 // vector ops).
-template <class MakeRunner>
+template <class Runner>
 std::shared_ptr<VectorData> vxm_spa(const VectorData& u, const MatrixData& a,
-                                    const Type* ztype,
-                                    MakeRunner&& make_runner) {
-  if (spgemm_mode() == SpgemmMode::kReference) {
-    return vxm_reference_kernel(u, a, ztype,
-                                std::forward<MakeRunner>(make_runner));
-  }
+                                    const Type* ztype, Runner runner) {
   auto t = std::make_shared<VectorData>(ztype, a.ncols);
   const size_t zsize = ztype->size();
   uint64_t flops = 0;
@@ -549,7 +416,6 @@ std::shared_ptr<VectorData> vxm_spa(const VectorData& u, const MatrixData& a,
   }
   if (flops == 0) return t;
   const SpgemmPolicy policy = spgemm_policy(a.ncols, zsize);
-  auto runner = make_runner();
   ScratchArena& arena = thread_arena();
   ValueBuf prod(zsize);
   const bool dense = policy.use_dense(flops);

@@ -1,29 +1,8 @@
 // GrB_vxm: w<m,r> = w (+) u^T * A over a semiring.
-#include <algorithm>
-
 #include "obs/telemetry.hpp"
 #include "ops/mxm.hpp"
 
 namespace grb {
-namespace {
-
-// Adapter flipping mul's operand order: vxm feeds (u_i, a_ij) but the
-// multiplier's x operand is the vector value and y the matrix value,
-// while vxm_kernel streams (uval, aval) already in that order.
-class VxmRunner {
- public:
-  VxmRunner(const Semiring* s, const Type* utype, const Type* atype)
-      : mul_(s->mul(), utype, atype),
-        add_(s->add()->op(), s->mul()->ztype(), s->mul()->ztype()) {}
-  void mul(void* z, const void* u, const void* a) { mul_.run(z, u, a); }
-  void add(void* acc, const void* z) { add_.run(acc, acc, z); }
-
- private:
-  BinRunner mul_;
-  BinRunner add_;
-};
-
-}  // namespace
 
 Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
          const Semiring* s, const Vector* u, const Matrix* a,
@@ -52,57 +31,31 @@ Info vxm(Vector* w, const Vector* mask, const BinaryOp* accum,
   WritebackSpec spec{accum, mask != nullptr, d.mask_structure(),
                      d.mask_comp(), d.replace()};
   bool t1 = d.tran1();
-  // Plain replace: w is rebuilt from the snapshots without reading its
-  // old state (a self-input completed at snapshot time), so earlier
-  // queued writes to w are dead.  Opaque to chain fusion.
-  FuseNode node;
-  if (mask == nullptr && accum == nullptr && !d.mask_comp()) {
-    node.reads_out = false;
-    node.full_replace = true;
-  }
+  FuseNode node =
+      product_node(mask == nullptr && accum == nullptr && !d.mask_comp());
   return defer_or_run(w, [w, a_snap, u_snap, m_snap, s, spec, t1]() -> Info {
     std::shared_ptr<const MatrixData> av =
         t1 ? format_transpose_view(a_snap) : a_snap;
     size_t work = av->nvals() + u_snap->nvals();
     Context* ectx = exec_context(w->context(), work);
-    std::shared_ptr<VectorData> t;
-    // The dot path transposes A, which allocates O(ncols(A)) column
-    // pointers — unaffordable for hypersparse dims; the adaptive serial
-    // SPA handles those within the byte budget.
-    bool can_transpose =
-        static_cast<uint64_t>(av->ncols) * 2 * sizeof(Index) <=
-        spgemm_dense_budget();
-    if (ectx->effective_nthreads() > 1 && can_transpose) {
-      // Parallel path: column dot products over A'.  Fold order per
-      // output entry matches the serial SPA (ascending row index), so
-      // the result is bitwise-identical to the serial path.
-      auto at = format_transpose_view(av);
-      t = fastpath_vxm_dot(ectx, *u_snap, *at, s);
-      if (t == nullptr) {
-        t = vxm_dot_kernel(ectx, *u_snap, *at, s->mul()->ztype(), [&] {
-          return VxmRunner(s, u_snap->type, at->type);
+    // A hypersparse column dimension stays on the adaptive serial SPA,
+    // which works within the byte budget.
+    bool pull =
+        ectx->effective_nthreads() > 1 && transpose_affordable(av->ncols);
+    std::shared_ptr<VectorData> t = with_semiring_runner(
+        s, u_snap->type, av->type, [&](const auto& runner) {
+          if (pull) {
+            // Parallel path: column dot products over A'.  Fold order
+            // per output entry matches the serial SPA (ascending row
+            // index), so the result is bitwise-identical to it.
+            auto at = format_transpose_view(av);
+            return dot_kernel<true>(ectx, *at, nullptr, *u_snap,
+                                    s->mul()->ztype(), runner);
+          }
+          return vxm_spa(*u_snap, *av, s->mul()->ztype(), runner);
         });
-      }
-    } else {
-      t = fastpath_vxm(*u_snap, *av, s);
-      if (t == nullptr) {
-        t = vxm_spa(*u_snap, *av, s->mul()->ztype(), [&] {
-          return VxmRunner(s, u_snap->type, av->type);
-        });
-      }
-    }
     if (obs::stats_enabled()) obs::add_flops(av->nvals());
-    auto c_old = w->current_canonical();
-    // Identity write-back (see mxm.cpp): unmasked, unaccumulated, no
-    // cast — T replaces w wholesale.
-    if (m_snap == nullptr && spec.accum == nullptr &&
-        t->type == c_old->type) {
-      if (obs::stats_enabled()) obs::add_scalars(t->nvals());
-      w->publish(std::move(t));
-    } else {
-      w->publish(
-          writeback_vector(w->context(), *c_old, *t, m_snap.get(), spec));
-    }
+    publish_product(w, w->context(), std::move(t), m_snap.get(), spec);
     return Info::kSuccess;
   }, std::move(node));
 }

@@ -1,8 +1,8 @@
 // Decision-audit explain surface and hardware-profiler degradation.
 //
 // GxB_Explain must return a non-empty, accurate plan for GrB_mxm under
-// every storage format x SpGEMM mode combination — the audit is only
-// useful if it never goes dark when the execution strategy changes
+// every storage format x SpGEMM accumulator combination — the audit is
+// only useful if it never goes dark when the execution strategy changes
 // under it.  The profiler tests pin GRB_PERF_EVENTS=0 to prove the
 // mandatory graceful-degradation path: perf_event_open denied must
 // leave a live CPU-time backend, not a dead feature.
@@ -58,15 +58,20 @@ GrB_Matrix path_matrix(GrB_Index n) {
 TEST_F(ExplainTest, RoundTripAcrossFormatsAndSpgemmModes) {
   const GxB_Format formats[] = {GxB_FORMAT_CSR, GxB_FORMAT_HYPER,
                                 GxB_FORMAT_BITMAP, GxB_FORMAT_DENSE};
-  const grb::SpgemmMode modes[] = {grb::SpgemmMode::kHash,
-                                   grb::SpgemmMode::kDense};
-  grb::SpgemmMode saved_mode = grb::spgemm_mode();
+  // The accumulator follows the dense budget: 64 bytes is under the
+  // 8-column product's dense-SPA footprint (all hash), the default puts
+  // it under the always-dense cap (all dense).  The small budget also
+  // caps the forced bitmap and dense storage formats, which fall back
+  // to CSR under it.
+  const size_t budgets[] = {64, 0};
+  const size_t saved_budget = grb::spgemm_dense_budget();
   for (GxB_Format fmt : formats) {
-    for (grb::SpgemmMode mode : modes) {
+    for (size_t budget : budgets) {
+      const bool dense = budget == 0;
       SCOPED_TRACE(::testing::Message()
-                   << "format=" << (int)fmt << " mode=" << (int)mode);
+                   << "format=" << (int)fmt << " budget=" << budget);
       ASSERT_EQ(GxB_Format_set(fmt), GrB_SUCCESS);
-      grb::set_spgemm_mode(mode);
+      grb::set_spgemm_dense_budget(budget);
       ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
       ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
 
@@ -79,13 +84,12 @@ TEST_F(ExplainTest, RoundTripAcrossFormatsAndSpgemmModes) {
       ASSERT_EQ(GrB_wait(c, GrB_MATERIALIZE), GrB_SUCCESS);
 
       // The plan names the op, the accumulator site, and the strategy
-      // the pinned mode forced — accurate, not merely non-empty.
+      // the budget forced — accurate, not merely non-empty.
       std::string text = explain("GrB_mxm");
       EXPECT_NE(text.find("decision audit:"), std::string::npos) << text;
       EXPECT_NE(text.find("GrB_mxm spgemm_accum"), std::string::npos)
           << text;
-      const char* strategy =
-          mode == grb::SpgemmMode::kDense ? "chose dense" : "chose hash";
+      const char* strategy = dense ? "chose dense" : "chose hash";
       EXPECT_NE(text.find(strategy), std::string::npos) << text;
       // Perfect prediction on the path product: 6 flops in, 6 entries
       // out — the plan must not cry mispredict.
@@ -101,7 +105,7 @@ TEST_F(ExplainTest, RoundTripAcrossFormatsAndSpgemmModes) {
       GrB_free(&c);
     }
   }
-  grb::set_spgemm_mode(saved_mode);
+  grb::set_spgemm_dense_budget(saved_budget);
 }
 
 TEST_F(ExplainTest, DisabledAuditSaysHowToEnable) {

@@ -47,6 +47,11 @@ class FusionGuard {
   bool saved_;
 };
 
+// A SpGEMM dense budget under the dense-SPA footprint of the 8-column
+// products below: every row takes the hash accumulator.  The default
+// budget keeps them under the always-dense cap instead.
+constexpr size_t kHashOnlyBudget = 64;
+
 std::string slurp(const std::string& path) {
   std::ifstream f(path);
   std::stringstream ss;
@@ -162,16 +167,17 @@ TEST_F(ObsTest, CountersExactForKnownOpSequence) {
 // used, its symbolic flop estimate, and whether per-thread scratch was
 // reused from the arena or freshly grown.
 TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
-  grb::SpgemmMode saved_mode = grb::spgemm_mode();
+  const size_t saved_budget = grb::spgemm_dense_budget();
   GrB_Matrix a = path_matrix(8);
   GrB_Matrix c = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
   ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
 
-  // Pinned hash mode: the 6 productive rows of A*A (path matrix, rows
-  // 0..5 have one flop each) all use the hash accumulator.
-  grb::set_spgemm_mode(grb::SpgemmMode::kHash);
+  // A budget under the 8-column dense footprint: the 6 productive rows
+  // of A*A (path matrix, rows 0..5 have one flop each) all use the hash
+  // accumulator.
+  grb::set_spgemm_dense_budget(kHashOnlyBudget);
   ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
                     a, GrB_NULL),
             GrB_SUCCESS);
@@ -183,9 +189,10 @@ TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
   // First multiply after reset: the hash scratch had to be grown.
   EXPECT_GT(counter("arena.reuse_misses"), 0u);
 
-  // Pinned dense mode on the same product flips every row to the dense
-  // accumulator and reuses the arena buffers grown above.
-  grb::set_spgemm_mode(grb::SpgemmMode::kDense);
+  // The default budget puts the same product under the always-dense
+  // footprint, flipping every row to the dense accumulator; it reuses
+  // the arena buffers grown above.
+  grb::set_spgemm_dense_budget(0);
   ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
                     a, GrB_NULL),
             GrB_SUCCESS);
@@ -195,7 +202,7 @@ TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
   EXPECT_EQ(counter("spgemm.flops_estimated"), 12u);
 
   // Re-running the hash multiply now hits warm scratch.
-  grb::set_spgemm_mode(grb::SpgemmMode::kHash);
+  grb::set_spgemm_dense_budget(kHashOnlyBudget);
   uint64_t hits_before = counter("arena.reuse_hits");
   ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, a,
                     a, GrB_NULL),
@@ -218,7 +225,7 @@ TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
   EXPECT_NE(json.find("\"arena.reuse_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"arena.reuse_misses\""), std::string::npos);
 
-  grb::set_spgemm_mode(saved_mode);
+  grb::set_spgemm_dense_budget(saved_budget);
   GrB_free(&a);
   GrB_free(&c);
 }
@@ -230,8 +237,8 @@ TEST_F(ObsTest, SpgemmAccumulatorAndArenaCounters) {
 // the mispredict counter stays zero.
 TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
   FusionGuard fusion_off;
-  grb::SpgemmMode saved_mode = grb::spgemm_mode();
-  grb::set_spgemm_mode(grb::SpgemmMode::kHash);
+  const size_t saved_budget = grb::spgemm_dense_budget();
+  grb::set_spgemm_dense_budget(kHashOnlyBudget);
   GrB_Matrix a = path_matrix(8);
   GrB_Matrix c = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&c, GrB_FP64, 8, 8), GrB_SUCCESS);
@@ -272,9 +279,110 @@ TEST_F(ObsTest, DecisionCountersExactForPathMxm) {
       << json;
   EXPECT_NE(json.find("\"prof\":{"), std::string::npos);
 
-  grb::set_spgemm_mode(saved_mode);
+  grb::set_spgemm_dense_budget(saved_budget);
   GrB_free(&a);
   GrB_free(&c);
+}
+
+// The masked-dot site of C<L> = L*L' worked out by hand from the rows
+// of the strictly lower adjacency L: the average-degree model, the
+// Gustavson flops it competes with, and the exact merge-list work the
+// dot kernel does (B = L', so B' = L).
+struct DotAudit {
+  bool dot;
+  uint64_t predicted, measured;
+  bool mispredict;
+};
+DotAudit masked_dot_by_hand(const std::vector<std::vector<GrB_Index>>& l) {
+  const uint64_t n = l.size();
+  uint64_t nnz = 0;
+  std::vector<uint64_t> col_count(n, 0);
+  for (const auto& row : l) {
+    nnz += row.size();
+    for (GrB_Index k : row) ++col_count[k];
+  }
+  const uint64_t avg = nnz / n + 1;  // A's rows and B's columns alike
+  const uint64_t model = nnz * (avg + avg) + nnz;
+  uint64_t gustavson = 0, merge = nnz;
+  for (const auto& row : l) {
+    for (GrB_Index k : row) {
+      gustavson += col_count[k];         // nnz(L'(k,:))
+      merge += row.size() + l[k].size();  // |A(i,:)| + |B'(j,:)|
+    }
+  }
+  DotAudit d;
+  d.dot = model < gustavson;
+  d.predicted = d.dot ? model : gustavson;
+  d.measured = d.dot ? merge : gustavson;
+  d.mispredict = d.measured > 2 * d.predicted || 2 * d.measured < d.predicted;
+  return d;
+}
+
+// Counts triangles with C<L> = L*L' on the graph whose strictly lower
+// adjacency is `l`.
+uint64_t triangle_count(const std::vector<std::vector<GrB_Index>>& l) {
+  const GrB_Index n = l.size();
+  GrB_Matrix lm = nullptr, c = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&lm, GrB_FP64, n, n), GrB_SUCCESS);
+  for (GrB_Index i = 0; i < n; ++i)
+    for (GrB_Index j : l[i])
+      EXPECT_EQ(GrB_Matrix_setElement(lm, 1.0, i, j), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_new(&c, GrB_FP64, n, n), GrB_SUCCESS);
+  EXPECT_EQ(GrB_mxm(c, lm, GrB_NULL, GrB_PLUS_TIMES_SEMIRING_FP64, lm, lm,
+                    GrB_DESC_ST1),
+            GrB_SUCCESS);
+  GrB_Index nv = 0;
+  EXPECT_EQ(GrB_Matrix_nvals(&nv, c), GrB_SUCCESS);
+  std::vector<GrB_Index> ri(nv), ci(nv);
+  std::vector<double> v(nv);
+  EXPECT_EQ(GrB_Matrix_extractTuples(ri.data(), ci.data(), v.data(), &nv, c),
+            GrB_SUCCESS);
+  double total = 0;
+  for (double x : v) total += x;
+  GrB_free(&lm);
+  GrB_free(&c);
+  return static_cast<uint64_t>(total);
+}
+
+// The masked-dot audit predicts and measures in one unit, merge-list
+// work, so its mispredicts are model errors, not unit errors.  A fan
+// (hub 0 joined to a path 1..15) fits the average-degree model; a K8
+// among 56 isolated vertices puts every mask entry on rows far above
+// the average degree, which the model underestimates more than 2x.
+TEST_F(ObsTest, MaskedDotDecisionExactForTriangleCount) {
+  FusionGuard fusion_off;
+  std::vector<std::vector<GrB_Index>> fan(16), clique(64);
+  for (GrB_Index i = 1; i < 16; ++i) {
+    fan[i].push_back(0);
+    if (i >= 2) fan[i].push_back(i - 1);
+  }
+  for (GrB_Index i = 0; i < 8; ++i)
+    for (GrB_Index j = 0; j < i; ++j) clique[i].push_back(j);
+  const DotAudit f = masked_dot_by_hand(fan);
+  const DotAudit k = masked_dot_by_hand(clique);
+  // Hand values: fan 29 entries, model 29*(2+2)+29 = 145 < 239 Gustavson
+  // flops, merge work 84+29 = 113; K8 28 entries, model 28*(1+1)+28 = 84
+  // < 140, merge work 196+28 = 224 > 2*84.
+  ASSERT_TRUE(f.dot && k.dot);
+  EXPECT_EQ(f.predicted, 145u);
+  EXPECT_EQ(f.measured, 113u);
+  EXPECT_FALSE(f.mispredict);
+  EXPECT_EQ(k.predicted, 84u);
+  EXPECT_EQ(k.measured, 224u);
+  EXPECT_TRUE(k.mispredict);
+
+  ASSERT_EQ(GxB_Stats_enable(1), GrB_SUCCESS);
+  ASSERT_EQ(GxB_Stats_reset(), GrB_SUCCESS);
+  EXPECT_EQ(triangle_count(fan), 14u);
+  EXPECT_EQ(triangle_count(clique), 56u);
+  EXPECT_EQ(counter("decision.masked_dot.records"), 2u);
+  EXPECT_EQ(counter("decision.masked_dot.measured"), 2u);
+  EXPECT_EQ(counter("decision.masked_dot.predicted_units"),
+            f.predicted + k.predicted);
+  EXPECT_EQ(counter("decision.masked_dot.measured_units"),
+            f.measured + k.measured);
+  EXPECT_EQ(counter("decision.masked_dot.mispredicts"),
+            uint64_t{f.mispredict} + uint64_t{k.mispredict});
 }
 
 // Just enough JSON to follow a key path through stats_json: skips one
@@ -333,8 +441,8 @@ std::optional<uint64_t> json_at(std::string_view doc,
 // reads themselves bump nothing (a GxB_* call would add flight events).
 TEST_F(ObsTest, EveryMetricRowAgreesAcrossSurfaces) {
   FusionGuard fusion_off;
-  grb::SpgemmMode saved_mode = grb::spgemm_mode();
-  grb::set_spgemm_mode(grb::SpgemmMode::kHash);
+  const size_t saved_budget = grb::spgemm_dense_budget();
+  grb::set_spgemm_dense_budget(kHashOnlyBudget);
   GrB_Context child = nullptr;
   ASSERT_EQ(GrB_Context_new(&child, GrB_NONBLOCKING, nullptr, nullptr),
             GrB_SUCCESS);
@@ -439,7 +547,7 @@ TEST_F(ObsTest, EveryMetricRowAgreesAcrossSurfaces) {
   GrB_free(&t);
   GrB_free(&child);
   GrB_free(&pooled);
-  grb::set_spgemm_mode(saved_mode);
+  grb::set_spgemm_dense_budget(saved_budget);
 }
 
 TEST_F(ObsTest, QueueDepthHighWaterMatchesScriptedBuildWait) {

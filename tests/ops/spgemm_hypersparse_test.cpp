@@ -22,19 +22,12 @@ namespace {
 
 constexpr GrB_Index kHuge = GrB_Index(1) << 40;
 
-struct ModeGuard {
-  grb::SpgemmMode saved_mode;
+struct BudgetGuard {
   size_t saved_budget;
-  ModeGuard()
-      : saved_mode(grb::spgemm_mode()),
-        saved_budget(grb::spgemm_dense_budget()) {
-    grb::set_spgemm_mode(grb::SpgemmMode::kAuto);
+  BudgetGuard() : saved_budget(grb::spgemm_dense_budget()) {
     grb::set_spgemm_dense_budget(64u << 20);
   }
-  ~ModeGuard() {
-    grb::set_spgemm_mode(saved_mode);
-    grb::set_spgemm_dense_budget(saved_budget);
-  }
+  ~BudgetGuard() { grb::set_spgemm_dense_budget(saved_budget); }
 };
 
 struct Coo {
@@ -62,7 +55,7 @@ GrB_Matrix build_matrix(GrB_Index nr, GrB_Index nc, const Coo& coo) {
 }
 
 TEST(SpgemmHypersparse, MxmHugeNcols) {
-  ModeGuard guard;
+  BudgetGuard guard;
   const GrB_Index nrows = GrB_Index(1) << 20;
   const GrB_Index inner = 64;
   grb::Prng rng(9001);
@@ -109,7 +102,7 @@ TEST(SpgemmHypersparse, MxmHugeNcols) {
 }
 
 TEST(SpgemmHypersparse, VxmHugeOutputDim) {
-  ModeGuard guard;
+  BudgetGuard guard;
   const GrB_Index inner = 64;
   grb::Prng rng(9002);
 
@@ -152,7 +145,7 @@ TEST(SpgemmHypersparse, VxmHugeOutputDim) {
 }
 
 TEST(SpgemmHypersparse, MxvHugeInputDim) {
-  ModeGuard guard;
+  BudgetGuard guard;
   const GrB_Index nrows = 128;
   grb::Prng rng(9003);
 
