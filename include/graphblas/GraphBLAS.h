@@ -175,8 +175,10 @@ inline GrB_Info run_caught(F&& body) noexcept {
 // and costs two TLS stores).  Everything else is behind one relaxed
 // atomic flag load: with every instrument off the body runs exactly as
 // before.  With only the flight recorder on (the default), the extra
-// cost is one ring-slot write per entry — no clock read, no counter
-// registry.  Stats/trace add the timed path.
+// cost is one event-ring write per entry — one clock read (the event's
+// timestamp), one relaxed fetch_add and a handful of relaxed stores, no
+// lock and no counter registry — plus an api-error event when the call
+// fails.  Stats/trace add the timed path.
 template <class F>
 inline GrB_Info guarded(F&& body,
                         const char* name = GRB_DETAIL_CALLER()) noexcept {
@@ -184,16 +186,18 @@ inline GrB_Info guarded(F&& body,
   const uint32_t f = grb::obs::flags();
   if (f == 0u) return run_caught(static_cast<F&&>(body));
   if ((f & grb::obs::kFlightFlag) != 0u)
-    grb::obs::fr_record(grb::obs::FrKind::kApiEnter, name, 0);
+    grb::obs::record(grb::obs::EventKind::kApiEnter, name, 0);
   if ((f & (grb::obs::kStatsFlag | grb::obs::kTraceFlag)) == 0u) {
     GrB_Info info = run_caught(static_cast<F&&>(body));
-    grb::obs::fr_api_result(name, static_cast<int32_t>(info));
+    if (static_cast<int>(info) < 0)
+      grb::obs::fr_api_error(name, static_cast<int32_t>(info));
     return info;
   }
   const uint64_t t0 = grb::obs::now_ns();
   GrB_Info info = run_caught(static_cast<F&&>(body));
   grb::obs::api_return(name, t0, static_cast<int>(info) < 0);
-  grb::obs::fr_api_result(name, static_cast<int32_t>(info));
+  if (static_cast<int>(info) < 0)
+    grb::obs::fr_api_error(name, static_cast<int32_t>(info));
   return info;
 }
 
@@ -1944,8 +1948,12 @@ inline GrB_Info GxB_Fusion_get(int* on) {
 // points pin a format or read what is actually resident.  Pinning never
 // changes results — every format is bitwise-identical under the
 // differential oracle — only the memory/time trade-off.
+//
+// Both enums have a fixed underlying type (as GrB_Mode does), so an
+// out-of-range value a caller casts in is a valid value the entry
+// points reject with GrB_INVALID_VALUE, not an invalid enum load.
 
-typedef enum {
+typedef enum : int {
   GxB_FORMAT_CSR = 0,     // compressed sparse row (canonical)
   GxB_FORMAT_HYPER = 1,   // hypersparse CSR (matrices only)
   GxB_FORMAT_BITMAP = 2,  // presence bytes + full value slots
@@ -1953,7 +1961,7 @@ typedef enum {
   GxB_FORMAT_AUTO = 4,    // cost-model choice (the default)
 } GxB_Format;
 
-typedef enum {
+typedef enum : int {
   GxB_FORMAT = 0,  // storage format (GxB_Format values)
 } GxB_Option_Field;
 

@@ -60,7 +60,8 @@ bool is_fusable(const FuseNode& n, bool is_vector) {
 Info run_node_eager(Deferred& d) {
   obs::CurrentOpScope op_scope(d.op, d.ctx_id);
   if (obs::flight_enabled())
-    obs::fr_record(obs::FrKind::kDeferredExec, d.op, 0, d.ctx_id, d.flow_id);
+    obs::record(obs::EventKind::kDeferredExec, d.op, 0,
+                {.ctx = d.ctx_id, .a = d.flow_id});
   uint64_t t0 = obs::telemetry_enabled() ? obs::now_ns() : 0;
   obs::flow_step(d.op, d.flow_id);
   Info info = d.fn();
@@ -164,8 +165,8 @@ Info fusion_execute_batch(ObjectBase* obj, std::vector<Deferred>& batch,
         static_cast<double>(n - dead_writes),
         static_cast<double>(n), "fusion.plan");
     if (obs::flight_enabled())
-      obs::fr_record(obs::FrKind::kFusionPlan, "fusion.plan",
-                     static_cast<int32_t>(ops_fused));
+      obs::record(obs::EventKind::kFusionPlan, "fusion.plan",
+                  static_cast<int32_t>(ops_fused));
     if (obs::trace_enabled()) obs::fusion_span("fusion.plan", plan_t0);
   }
 
@@ -188,9 +189,9 @@ Info fusion_execute_batch(ObjectBase* obj, std::vector<Deferred>& batch,
     if (gi < groups.size() && groups[gi].b == k) {
       const Group& g = groups[gi++];
       if (obs::flight_enabled())
-        obs::fr_record(obs::FrKind::kFusionExec, batch[g.b].op,
-                       static_cast<int32_t>(g.e - g.b), batch[g.b].ctx_id,
-                       batch[g.b].flow_id);
+        obs::record(obs::EventKind::kFusionExec, batch[g.b].op,
+                    static_cast<int32_t>(g.e - g.b),
+                    {.ctx = batch[g.b].ctx_id, .a = batch[g.b].flow_id});
       uint64_t exec_t0 = obs::trace_enabled() ? obs::now_ns() : 0;
       Info info = is_vector
                       ? run_fused_vector_group(vec, batch, g.b, g.e)

@@ -37,18 +37,17 @@ void ObjectBase::enqueue(std::function<Info()> op, FuseNode node) {
                               std::move(node), ctx_id, flow_id});
     depth = queue_.size();
   }
-  // The gauge sample can land in the trace buffer (its own mutex plus a
-  // possible vector growth); keep that out of this object's critical
-  // section.  The depth is a sample either way — a stale read after
+  // The gauge sample and the ring events stay out of this object's
+  // critical section: they are lock-free, but the shorter it is the
+  // better.  The depth is a sample either way — a stale read after
   // unlock is indistinguishable from sampling a moment later.
   obs::queue_depth_sample(depth);
   if (obs::flight_enabled()) {
-    obs::fr_record(obs::FrKind::kEnqueue, op_name,
-                   static_cast<int32_t>(depth), ctx_id, flow_id);
+    obs::record(obs::EventKind::kEnqueue, op_name,
+                static_cast<int32_t>(depth), {.ctx = ctx_id, .a = flow_id});
   }
   // The flow start ("s") binds to the enclosing API span — emitted here,
-  // still inside the entry point, but after mu_ is released (the trace
-  // buffer has its own mutex and may grow).
+  // still inside the entry point.
   obs::flow_begin(op_name, flow_id);
 }
 
@@ -149,8 +148,8 @@ bool ObjectBase::poison_locked(Info info, const std::string& msg) {
   // auto dump formats strings, takes the recorder's control mutex and
   // writes files, so callers run it after releasing mu_.
   if (!obs::flight_enabled()) return false;
-  obs::fr_record(obs::FrKind::kPoison, obs::current_op(),
-                 static_cast<int32_t>(info));
+  obs::record(obs::EventKind::kPoison, obs::current_op(),
+              static_cast<int32_t>(info));
   return true;
 }
 

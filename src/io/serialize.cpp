@@ -70,6 +70,7 @@ class Reader {
     return true;
   }
   size_t pos() const { return pos_; }
+  size_t left() const { return n_ - pos_; }
 
  private:
   const std::byte* p_;
@@ -130,6 +131,17 @@ std::vector<std::byte> encode_vector(const VectorData& v) {
   out.raw(w.data().data(), w.data().size());
   out.u64(fnv1a(w.data().data(), w.data().size()));
   return out.data();
+}
+
+// Applies one index delta: the first index of a row (or vector) may be
+// 0, every later delta must be positive (indices strictly increase), and
+// the result must stay below `dim` — checked without forming prev+delta,
+// which could wrap past 2^64.
+bool next_index(Index* prev, uint64_t delta, bool first, Index dim) {
+  if (!first && delta == 0) return false;
+  if (delta >= dim - *prev) return false;
+  *prev += delta;
+  return true;
 }
 
 // Validates header + checksum; resolves the payload type.
@@ -196,6 +208,12 @@ Info matrix_deserialize(Matrix** a, const Type* type, const void* buffer,
   uint64_t nrows, ncols, nvals;
   if (!r.u64(&nrows) || !r.u64(&ncols) || !r.u64(&nvals))
     return Info::kInvalidObject;
+  // Every row costs at least its length byte and every entry a delta
+  // byte plus its value, so a header claiming more than the bytes left
+  // is rejected before anything is sized from it.
+  if (ncols > kIndexMax || nrows > r.left() ||
+      nvals > (r.left() - nrows) / (1 + t->size()))
+    return Info::kInvalidObject;
   auto data = std::make_shared<MatrixData>(t, nrows, ncols);
   data->col.reserve(nvals);
   for (Index row = 0; row < nrows; ++row) {
@@ -205,8 +223,8 @@ Info matrix_deserialize(Matrix** a, const Type* type, const void* buffer,
     for (uint64_t k = 0; k < len; ++k) {
       uint64_t delta;
       if (!r.varint(&delta)) return Info::kInvalidObject;
-      prev += delta;
-      if (prev >= ncols) return Info::kInvalidObject;
+      if (!next_index(&prev, delta, k == 0, ncols))
+        return Info::kInvalidObject;
       data->col.push_back(prev);
     }
     data->ptr[row + 1] = data->col.size();
@@ -251,14 +269,15 @@ Info vector_deserialize(Vector** v, const Type* type, const void* buffer,
   GRB_RETURN_IF_ERROR(open_payload(&r, buffer, size, kKindVector, type, &t));
   uint64_t n, nvals;
   if (!r.u64(&n) || !r.u64(&nvals)) return Info::kInvalidObject;
+  if (n > kIndexMax || nvals > n || nvals > r.left() / (1 + t->size()))
+    return Info::kInvalidObject;
   auto data = std::make_shared<VectorData>(t, n);
   data->ind.reserve(nvals);
   Index prev = 0;
   for (uint64_t k = 0; k < nvals; ++k) {
     uint64_t delta;
     if (!r.varint(&delta)) return Info::kInvalidObject;
-    prev += delta;
-    if (prev >= n) return Info::kInvalidObject;
+    if (!next_index(&prev, delta, k == 0, n)) return Info::kInvalidObject;
     data->ind.push_back(prev);
   }
   data->vals.resize(nvals);

@@ -8,37 +8,24 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/flight_recorder.hpp"
+#include <unordered_map>
+
+#include "obs/event_ring.hpp"
 
 namespace grb {
 namespace obs {
 
 namespace {
 
-// One ring slot.  All fields are relaxed atomics so writers lapping the
-// ring stay data-race-free; `seq` brackets the payload (0 = in
-// progress, emission-seq = done) so readers detect and skip torn rows.
-// Doubles travel as bit patterns inside uint64 atomics.
-struct Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> ts{0};
-  std::atomic<const char*> op{nullptr};
-  std::atomic<const char*> chosen{nullptr};
-  std::atomic<const char*> rejected{nullptr};
-  std::atomic<uint64_t> ctx{0};
-  std::atomic<uint8_t> site{0};
-  std::atomic<uint64_t> predicted_bits{0};
-  std::atomic<uint64_t> alternative_bits{0};
-  std::atomic<uint64_t> measured_ns{0};
-  std::atomic<uint64_t> measured_units{0};
-  std::atomic<uint32_t> state{0};  // bit0 = measured, bit1 = mispredict
-};
+// Decision events below this seq predate the last decision_reset and
+// are hidden from the audit views.
+std::atomic<uint64_t> g_floor{0};
 
-// Fixed capacity: the audit is a "last N decisions" window, not a log;
-// aggregates carry the long-run truth.  Power of two for mask indexing.
-constexpr uint64_t kRingCapacity = 256;
-Slot g_slots[kRingCapacity];
-std::atomic<uint64_t> g_head{0};
+// Explain renders at most this many records; the audit is a "last N
+// decisions" window, the aggregates carry the long-run truth.  It is
+// also the ring reservation the audit makes when the flight recorder is
+// off.
+constexpr uint64_t kExplainRecords = 256;
 
 // Per-site aggregates.  The unit sums are in site-specific cost units,
 // so mispredict *rates* and the aggregate predicted-vs-measured ratio
@@ -79,31 +66,15 @@ bool is_mispredict(double predicted, uint64_t units) {
   return u > 2.0 * predicted || 2.0 * u < predicted;
 }
 
-bool read_slot(uint64_t seq_idx, DecisionRecord* out) {
-  Slot& s = g_slots[seq_idx % kRingCapacity];
-  uint64_t want = seq_idx + 1;
-  if (s.seq.load(std::memory_order_acquire) != want) return false;
-  DecisionRecord r;
-  r.seq = want;
-  r.ts_ns = s.ts.load(std::memory_order_relaxed);
-  r.op = s.op.load(std::memory_order_relaxed);
-  r.chosen = s.chosen.load(std::memory_order_relaxed);
-  r.rejected = s.rejected.load(std::memory_order_relaxed);
-  r.ctx = s.ctx.load(std::memory_order_relaxed);
-  r.site = static_cast<DecisionSite>(s.site.load(std::memory_order_relaxed));
-  r.predicted_cost =
-      std::bit_cast<double>(s.predicted_bits.load(std::memory_order_relaxed));
-  r.alternative_cost = std::bit_cast<double>(
-      s.alternative_bits.load(std::memory_order_relaxed));
-  r.measured_ns = s.measured_ns.load(std::memory_order_relaxed);
-  r.measured_units = s.measured_units.load(std::memory_order_relaxed);
-  uint32_t state = s.state.load(std::memory_order_relaxed);
-  r.measured = (state & 1u) != 0u;
-  r.mispredict = (state & 2u) != 0u;
-  if (s.seq.load(std::memory_order_acquire) != want) return false;
-  if (r.op == nullptr || r.chosen == nullptr) return false;
-  *out = r;
-  return true;
+const char* str(uint64_t bits) {
+  return reinterpret_cast<const char*>(static_cast<uintptr_t>(bits));
+}
+uint64_t bits(const char* p) { return reinterpret_cast<uintptr_t>(p); }
+// The ring keeps the two costs of a record as floats in one word: seven
+// significant digits, exact for integers below 2^24; the aggregates sum
+// the doubles.
+uint32_t float_bits(double v) {
+  return std::bit_cast<uint32_t>(static_cast<float>(v));
 }
 
 uint64_t cost_units(double cost) {
@@ -123,34 +94,18 @@ DecisionTicket decision_record(DecisionSite site, const char* chosen,
                                double alternative_cost, const char* op) {
   DecisionTicket ticket;
   if (!decision_enabled()) return ticket;
-  const char* opname = op != nullptr ? op : current_op();
-  uint64_t ctx = current_ctx();
-  uint64_t seq_idx = g_head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = g_slots[seq_idx % kRingCapacity];
-  s.seq.store(0, std::memory_order_release);  // invalidate for readers
-  s.ts.store(now_ns(), std::memory_order_relaxed);
-  s.op.store(opname, std::memory_order_relaxed);
-  s.chosen.store(chosen, std::memory_order_relaxed);
-  s.rejected.store(rejected, std::memory_order_relaxed);
-  s.ctx.store(ctx, std::memory_order_relaxed);
-  s.site.store(static_cast<uint8_t>(site), std::memory_order_relaxed);
-  s.predicted_bits.store(std::bit_cast<uint64_t>(predicted_cost),
-                         std::memory_order_relaxed);
-  s.alternative_bits.store(std::bit_cast<uint64_t>(alternative_cost),
-                           std::memory_order_relaxed);
-  s.measured_ns.store(0, std::memory_order_relaxed);
-  s.measured_units.store(0, std::memory_order_relaxed);
-  s.state.store(0, std::memory_order_relaxed);
-  s.seq.store(seq_idx + 1, std::memory_order_release);
-
+  ticket.t0 = now_ns();
+  ticket.seq = record(
+      EventKind::kDecision, op != nullptr ? op : current_op(),
+      static_cast<int32_t>(site),
+      {.ts = ticket.t0,
+       .ctx = current_ctx(),
+       .a = bits(chosen),
+       .b = bits(rejected),
+       .c = float_bits(predicted_cost) |
+            uint64_t{float_bits(alternative_cost)} << 32});
   site_add(site, kRecords, 1);
   site_add(site, kPredictedUnits, cost_units(predicted_cost));
-  if (flight_enabled())
-    fr_record(FrKind::kDecision, decision_site_name(site),
-              static_cast<int32_t>(0), ctx);
-
-  ticket.seq = seq_idx + 1;
-  ticket.t0 = now_ns();
   ticket.predicted = predicted_cost;
   ticket.site = site;
   return ticket;
@@ -158,61 +113,74 @@ DecisionTicket decision_record(DecisionSite site, const char* chosen,
 
 void decision_measure(const DecisionTicket& ticket, uint64_t measured_units) {
   if (ticket.seq == 0 || !decision_enabled()) return;
-  uint64_t ns = now_ns() - ticket.t0;
-  bool mp = is_mispredict(ticket.predicted, measured_units);
-
+  const uint64_t t1 = now_ns();
+  const bool mp = is_mispredict(ticket.predicted, measured_units);
   site_add(ticket.site, kMeasured, 1);
   site_add(ticket.site, kMeasuredUnits, measured_units);
   if (mp) site_add(ticket.site, kMispredicts, 1);
-
-  // Best-effort ring fill-in: if the ring has lapped this slot the
-  // aggregates above still count, only the rendered row lost its tail.
-  // The seq re-check narrows (but cannot close) the race against a
-  // lapping writer; a lost or mixed fill-in is benign diagnostic noise.
-  Slot& s = g_slots[(ticket.seq - 1) % kRingCapacity];
-  if (s.seq.load(std::memory_order_acquire) != ticket.seq) return;
-  s.measured_ns.store(ns, std::memory_order_relaxed);
-  s.measured_units.store(measured_units, std::memory_order_relaxed);
-  s.state.store(mp ? 3u : 1u, std::memory_order_relaxed);
+  // The outcome is its own event, joined to the record by seq: the
+  // record is never written twice, so a writer lapping the ring can
+  // lose the pair but never mix two decisions into one row.
+  record(EventKind::kDecisionMeasured, decision_site_name(ticket.site),
+         mp ? 1 : 0,
+         {.ts = t1, .a = ticket.seq, .b = t1 - ticket.t0, .c = measured_units});
 }
 
 void decision_set_enabled(bool on) {
-  if (on)
+  if (on) {
+    ring_reserve(RingUser::kDecision, kExplainRecords);
     detail::g_flags.fetch_or(kDecisionFlag, std::memory_order_relaxed);
-  else
+  } else {
     detail::g_flags.fetch_and(~kDecisionFlag, std::memory_order_relaxed);
+    ring_reserve(RingUser::kDecision, 0);
+  }
 }
 
 void decision_reset() {
   for (auto& site : g_sites)
     for (auto& c : site) c.store(0, std::memory_order_relaxed);
-  for (Slot& s : g_slots) s.seq.store(0, std::memory_order_release);
-  g_head.store(0, std::memory_order_relaxed);
+  g_floor.store(ring_head(), std::memory_order_relaxed);
 }
 
 int decision_snapshot(DecisionRecord* out, int max_records, const char* op,
                       uint64_t ctx) {
-  uint64_t head = g_head.load(std::memory_order_acquire);
-  uint64_t start = head > kRingCapacity ? head - kRingCapacity : 0;
+  // Newest first, so each outcome is seen before the record it joins.
+  std::unordered_map<uint64_t, Event> outcomes;
   int n = 0;
-  for (uint64_t seq = head; seq > start; --seq) {
-    if (max_records > 0 && n >= max_records) break;
+  scan(g_floor.load(std::memory_order_relaxed), true, [&](const Event& e) {
+    if (e.kind == EventKind::kDecisionMeasured) outcomes.emplace(e.f.a, e);
+    if (e.kind != EventKind::kDecision) return true;
     DecisionRecord r;
-    if (!read_slot(seq - 1, &r)) continue;
-    if (op != nullptr && op[0] != '\0' && std::strcmp(op, r.op) != 0)
-      continue;
-    if (ctx != 0 && r.ctx != ctx) continue;
+    auto m = outcomes.find(e.seq + 1);
+    if (m != outcomes.end()) {
+      r.measured = true;
+      r.mispredict = m->second.info != 0;
+      r.measured_ns = m->second.f.b;
+      r.measured_units = m->second.f.c;
+      outcomes.erase(m);
+    }
+    if ((op != nullptr && op[0] != '\0' && std::strcmp(op, e.name) != 0) ||
+        (ctx != 0 && e.f.ctx != ctx))
+      return true;
+    r.seq = e.seq + 1;
+    r.ts_ns = e.f.ts;
+    r.ctx = e.f.ctx;
+    r.site = static_cast<DecisionSite>(e.info);
+    r.op = e.name;
+    r.chosen = str(e.f.a);
+    r.rejected = str(e.f.b);
+    r.predicted_cost = std::bit_cast<float>(static_cast<uint32_t>(e.f.c));
+    r.alternative_cost = std::bit_cast<float>(static_cast<uint32_t>(e.f.c >> 32));
     out[n++] = r;
-  }
+    return max_records <= 0 || n < max_records;
+  });
   return n;
 }
 
 namespace {
 
-uint64_t ring_capacity(const Process&) { return kRingCapacity; }
-uint64_t ring_recorded(const Process&) {
-  return g_head.load(std::memory_order_relaxed);
-}
+uint64_t ring_slots(const Process&) { return ring_capacity(); }
+uint64_t ring_recorded(const Process&) { return site_total(kRecords); }
 
 constexpr auto kCounter = MetricKind::kCounter;
 
@@ -235,7 +203,7 @@ const Metric<DecisionSite> kSiteMetrics[] = {
 
 const Metric<Process> kRingMetrics[] = {
     {"ring_capacity", "grb_decision_ring_capacity", "", MetricKind::kGauge,
-     "Decision-audit ring slots.", &ring_capacity},
+     "Event-ring slots the decision records share.", &ring_slots},
     {"recorded", "grb_decision_ring_recorded_total", "", kCounter,
      "Decisions written to the ring since the last reset.", &ring_recorded},
 };
@@ -245,18 +213,17 @@ const Metric<Process> kRingMetrics[] = {
 std::string decision_explain(const char* op, uint64_t ctx) {
   std::string text;
   char line[256];
-  if (!decision_enabled() &&
-      g_head.load(std::memory_order_relaxed) == 0) {
+  const uint64_t total_records = site_total(kRecords);
+  if (!decision_enabled() && total_records == 0) {
     return "decision audit disabled: enable with GxB_Stats_enable(true) "
            "or GRB_DECISIONS=1\n";
   }
-  const uint64_t total_records = site_total(kRecords);
   std::snprintf(line, sizeof line,
                 "decision audit: %" PRIu64 " recorded, %" PRIu64
                 " measured, %" PRIu64 " mispredicted (ring capacity %" PRIu64
                 ")\n",
                 total_records, site_total(kMeasured), site_total(kMispredicts),
-                kRingCapacity);
+                ring_capacity());
   text.append(line);
   for (int i = 0; i < kDecisionSiteCount; ++i) {
     const auto site = static_cast<DecisionSite>(i);
@@ -268,8 +235,8 @@ std::string decision_explain(const char* op, uint64_t ctx) {
           std::to_string(m.read(site)));
     text.push_back('\n');
   }
-  DecisionRecord rows[kRingCapacity];
-  int n = decision_snapshot(rows, static_cast<int>(kRingCapacity), op, ctx);
+  DecisionRecord rows[kExplainRecords];
+  int n = decision_snapshot(rows, static_cast<int>(kExplainRecords), op, ctx);
   if (n == 0) {
     text.append(total_records == 0
                     ? "  no decisions recorded yet\n"

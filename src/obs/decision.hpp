@@ -2,19 +2,20 @@
 //
 // Every adaptive cost-model branch in the library — the places where the
 // runtime, not the user, picks an execution strategy — records what it
-// chose, what it rejected, what the model predicted, and (filled in
-// after the kernel ran) what actually happened.  Records land in a
-// fixed-size lock-free ring tagged with the owning context, surfaced
-// three ways: GxB_Explain renders the newest records as text, the
-// per-site aggregates are rows of the metric table (GxB_Stats_get, the
-// "decisions" block of GxB_Stats_json, the grb_decision_* Prometheus
-// families), and (flight-gated) each record also lands as a kDecision
-// flight-recorder event so post-mortems show strategy choices inline
-// with the causal op history.
+// chose, what it rejected, what the model predicted, and (after the
+// kernel ran) what actually happened.  A record is one kDecision event
+// in the event ring (obs/event_ring.hpp), tagged with the owning
+// context; its outcome is a later kDecisionMeasured event that carries
+// the record's seq.  Surfaced three ways: GxB_Explain joins the two by
+// seq and renders the newest records as text, the per-site aggregates
+// are rows of the metric table (GxB_Stats_get, the "decisions" block of
+// GxB_Stats_json, the grb_decision_* Prometheus families), and the
+// flight dumps show the kDecision events inline with the causal op
+// history.
 //
 // Overhead contract: emission gates on one relaxed load of g_flags
 // (kDecisionFlag); when the bit is clear the site pays only that load.
-// The record path is allocation-free — fixed slots, static-string
+// The record path is allocation-free — one ring event, static-string
 // alternative names — so sites inside no-alloc lock zones (format.cpp,
 // spgemm, fusion) may emit directly, though they should still prefer to
 // emit outside critical sections.
@@ -65,7 +66,7 @@ const char* decision_site_name(DecisionSite site);
 // counts for fusion) — predicted and alternative share units within one
 // site, which is all the mispredict test needs.
 struct DecisionRecord {
-  uint64_t seq = 0;          // global emission sequence (1-based)
+  uint64_t seq = 0;          // event-ring seq + 1 of the record
   uint64_t ts_ns = 0;        // now_ns() at decision time
   uint64_t ctx = 0;          // owning obs context id (0 = unattributed)
   DecisionSite site = DecisionSite::kExecPath;
@@ -98,23 +99,26 @@ DecisionTicket decision_record(DecisionSite site, const char* chosen,
                                double alternative_cost,
                                const char* op = nullptr);
 
-// Completes a record post-execution: stamps measured wall-ns (now -
-// ticket.t0) and the actual work in predicted-cost units, and counts a
-// mispredict when both are positive and off by more than 2x either way.
-// Pass measured_units = 0 when the site has no work metric (timing-only
-// sites); the ns still lands but cannot mispredict.  Safe to call with
-// an inactive ticket (no-op); tolerates the ring having lapped the slot
-// (aggregates still count, the ring text just lost the row).
+// Completes a record post-execution: appends a kDecisionMeasured event
+// with the measured wall-ns (now - ticket.t0) and the actual work in
+// predicted-cost units, and counts a mispredict when both are positive
+// and off by more than 2x either way.  Pass measured_units = 0 when the
+// site has no work metric (timing-only sites); the ns still lands but
+// cannot mispredict.  Safe to call with an inactive ticket (no-op); if
+// the ring has lapped the record, the aggregates still count and the
+// outcome simply finds no row to join.
 void decision_measure(const DecisionTicket& ticket, uint64_t measured_units);
 
 // --- Control / introspection ----------------------------------------------
-void decision_set_enabled(bool on);  // flips kDecisionFlag
-void decision_reset();               // zero counters, clear the ring
+// Flips kDecisionFlag; on, the audit reserves 256 ring slots.
+void decision_set_enabled(bool on);
+void decision_reset();  // zero counters, hide the records so far
 
-// Newest-first snapshot of readable ring records.  `op` filters by
-// exact attributed-op match when non-null/non-empty; `ctx` filters by
-// owning context when nonzero; `max_records` 0 = all readable.
-// Torn/overwritten slots are skipped.
+// Newest-first snapshot of the decision records still in the ring, each
+// joined by seq to its measured outcome.  `op` filters by exact
+// attributed-op match when non-null/non-empty; `ctx` filters by owning
+// context when nonzero; `max_records` 0 = all readable.  Torn or
+// overwritten events are skipped.
 int decision_snapshot(DecisionRecord* out, int max_records, const char* op,
                       uint64_t ctx);
 
@@ -127,7 +131,8 @@ std::string decision_explain(const char* op, uint64_t ctx);
 // Metric rows (obs/telemetry.hpp) the audit contributes to the stats
 // surfaces: per-site rows ("decision.<site>.records", the JSON
 // "decisions.sites" block, grb_decision_records_total{site=...}) and
-// ring-level rows ("decision.ring_capacity", "decision.recorded").
+// ring-level rows ("decision.ring_capacity": the shared ring's slots,
+// "decision.recorded": records since the last reset).
 MetricTable<DecisionSite> decision_site_metrics();
 MetricTable<Process> decision_ring_metrics();
 

@@ -1,13 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/info.hpp"
@@ -18,39 +16,11 @@ namespace obs {
 
 namespace {
 
-// One ring slot.  All fields are relaxed atomics so concurrent writers
-// that lap the ring (two threads landing on the same slot) stay data-
-// race-free; `seq` brackets the payload (0 = in progress, seq+1 = done)
-// so readers can detect and skip torn entries.
-struct Slot {
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> ts{0};
-  std::atomic<const char*> op{nullptr};
-  std::atomic<uint64_t> meta{0};  // info<<32 | kind<<24 | tid
-  std::atomic<uint64_t> ext{0};   // ctx<<32 | flow (32-bit truncated)
-};
-
-struct Ring {
-  explicit Ring(uint64_t cap) : slots(new Slot[cap]), mask(cap - 1) {}
-  std::unique_ptr<Slot[]> slots;
-  uint64_t mask;
-  std::atomic<uint64_t> head{0};
-};
-
-std::atomic<Ring*> g_ring{nullptr};
-
-// Control-path state (resize, dumps) behind one mutex; the record path
-// never takes it.
+// Control-path state (dump path, last dump text); recording never takes
+// this lock.
 std::mutex& ctl_mu() {
   static std::mutex mu;
   return mu;
-}
-// Retired rings are kept alive forever: a writer preempted mid-record
-// may still hold a pointer into one.  Resizes are once-per-process
-// events (env at init), so the leak is bounded and deliberate.
-std::vector<std::unique_ptr<Ring>>& retired() {
-  static auto* r = new std::vector<std::unique_ptr<Ring>>();
-  return *r;
 }
 std::string& dump_path() {
   static auto* p = new std::string();
@@ -61,173 +31,72 @@ std::string& last_dump() {
   return *s;
 }
 int g_auto_dumps = 0;
+std::atomic<uint64_t> g_flight_window{0};  // flight events a view shows
 
 constexpr uint64_t kDefaultCapacity = 4096;
-constexpr uint64_t kMaxCapacity = uint64_t{1} << 24;
 constexpr uint64_t kAutoDumpTail = 256;  // events rendered per auto-dump
 constexpr int kAutoDumpStderrBudget = 4;
 
-uint32_t fr_tid() {
-  static thread_local const uint32_t tid = static_cast<uint32_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) & 0xffffffu);
-  return tid;
+// Indexed by EventKind; the flight views show flight kinds only.
+constexpr const char* kKindNames[] = {
+    "api-enter",   "api-error", "deferred-exec", "poison",  "fusion-plan",
+    "fusion-exec", "enqueue",   "watchdog",      "decision"};
+
+// The flow id of a flight event (a decision's `a` is its strategy).
+uint64_t flow_of(const Event& e) {
+  return e.kind == EventKind::kDecision ? 0 : e.f.a;
 }
 
-uint64_t pack_meta(FrKind kind, int32_t info, uint32_t tid) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(info)) << 32) |
-         (static_cast<uint64_t>(static_cast<uint8_t>(kind)) << 24) |
-         (tid & 0xffffffu);
-}
-
-const char* kind_name(uint8_t kind) {
-  switch (static_cast<FrKind>(kind)) {
-    case FrKind::kApiEnter: return "api-enter";
-    case FrKind::kApiError: return "api-error";
-    case FrKind::kDeferredExec: return "deferred-exec";
-    case FrKind::kPoison: return "poison";
-    case FrKind::kFusionPlan: return "fusion-plan";
-    case FrKind::kFusionExec: return "fusion-exec";
-    case FrKind::kEnqueue: return "enqueue";
-    case FrKind::kWatchdog: return "watchdog";
-    case FrKind::kDecision: return "decision";
-  }
-  return "?";
-}
-
-uint64_t round_up_pow2(uint64_t v) {
-  uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-struct DecodedEvent {
-  uint64_t seq;
-  uint64_t ts;
-  const char* op;
-  uint8_t kind;
-  int32_t info;
-  uint32_t tid;
-  uint32_t ctx;
-  uint32_t flow;
-};
-
-// Snapshots the readable window of the ring, oldest first.  Torn or
-// overwritten slots are skipped.
-std::vector<DecodedEvent> snapshot_events(uint64_t max_events) {
-  std::vector<DecodedEvent> out;
-  Ring* r = g_ring.load(std::memory_order_acquire);
-  if (r == nullptr) return out;
-  const uint64_t cap = r->mask + 1;
-  const uint64_t head = r->head.load(std::memory_order_acquire);
-  uint64_t start = head > cap ? head - cap : 0;
-  if (max_events != 0 && head - start > max_events)
-    start = head - max_events;
-  out.reserve(static_cast<size_t>(head - start));
-  for (uint64_t seq = start; seq < head; ++seq) {
-    Slot& s = r->slots[seq & r->mask];
-    if (s.seq.load(std::memory_order_acquire) != seq + 1) continue;
-    DecodedEvent e;
-    e.seq = seq;
-    e.ts = s.ts.load(std::memory_order_relaxed);
-    e.op = s.op.load(std::memory_order_relaxed);
-    uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    uint64_t ext = s.ext.load(std::memory_order_relaxed);
-    if (s.seq.load(std::memory_order_acquire) != seq + 1) continue;
-    e.info = static_cast<int32_t>(static_cast<uint32_t>(meta >> 32));
-    e.kind = static_cast<uint8_t>((meta >> 24) & 0xffu);
-    e.tid = static_cast<uint32_t>(meta & 0xffffffu);
-    e.ctx = static_cast<uint32_t>(ext >> 32);
-    e.flow = static_cast<uint32_t>(ext & 0xffffffffu);
-    if (e.op == nullptr) continue;
-    out.push_back(e);
-  }
+// The flight view: the newest `max_events` flight events (0 = the
+// flight window), oldest first.
+std::vector<Event> flight_events(uint64_t max_events) {
+  uint64_t n = g_flight_window.load(std::memory_order_relaxed);
+  if (max_events != 0 && (n == 0 || max_events < n)) n = max_events;
+  std::vector<Event> out;
+  scan(0, true, [&](const Event& e) {
+    if (is_flight_kind(e.kind)) out.push_back(e);
+    return out.size() < n;
+  });
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
 }  // namespace
 
 void fr_resize(uint64_t capacity) {
-  std::lock_guard<std::mutex> lock(ctl_mu());
-  if (capacity == 0) {
+  if (capacity == 0)
     detail::g_flags.fetch_and(~kFlightFlag, std::memory_order_relaxed);
-    Ring* old = g_ring.exchange(nullptr, std::memory_order_acq_rel);
-    if (old != nullptr) retired().emplace_back(old);
-    return;
-  }
-  uint64_t cap = round_up_pow2(capacity > kMaxCapacity ? kMaxCapacity
-                                                       : capacity);
-  Ring* cur = g_ring.load(std::memory_order_acquire);
-  if (cur == nullptr || cur->mask + 1 != cap) {
-    Ring* next = new Ring(cap);
-    Ring* old = g_ring.exchange(next, std::memory_order_acq_rel);
-    if (old != nullptr) retired().emplace_back(old);
-  }
-  detail::g_flags.fetch_or(kFlightFlag, std::memory_order_relaxed);
+  ring_reserve(RingUser::kFlight, capacity);
+  g_flight_window.store(capacity, std::memory_order_relaxed);
+  if (capacity != 0)
+    detail::g_flags.fetch_or(kFlightFlag, std::memory_order_relaxed);
 }
 
-uint64_t fr_capacity() {
-  Ring* r = g_ring.load(std::memory_order_acquire);
-  return r == nullptr ? 0 : r->mask + 1;
-}
-
-uint64_t fr_event_count() {
-  Ring* r = g_ring.load(std::memory_order_acquire);
-  return r == nullptr ? 0 : r->head.load(std::memory_order_relaxed);
-}
-
-uint64_t fr_overwrites() {
-  Ring* r = g_ring.load(std::memory_order_acquire);
-  if (r == nullptr) return 0;
-  uint64_t head = r->head.load(std::memory_order_relaxed);
-  uint64_t cap = r->mask + 1;
-  return head > cap ? head - cap : 0;
-}
-
-void fr_record(FrKind kind, const char* op, int32_t info, uint64_t ctx,
-               uint64_t flow) {
-  Ring* r = g_ring.load(std::memory_order_acquire);
-  if (r == nullptr) return;
-  uint64_t seq = r->head.fetch_add(1, std::memory_order_relaxed);
-  Slot& s = r->slots[seq & r->mask];
-  s.seq.store(0, std::memory_order_release);  // invalidate for readers
-  s.ts.store(now_ns(), std::memory_order_relaxed);
-  s.op.store(op, std::memory_order_relaxed);
-  s.meta.store(pack_meta(kind, info, fr_tid()), std::memory_order_relaxed);
-  s.ext.store((ctx << 32) | (flow & 0xffffffffu), std::memory_order_relaxed);
-  s.seq.store(seq + 1, std::memory_order_release);
-}
-
-void fr_api_result(const char* op, int32_t info) {
-  if (info >= 0) return;
-  fr_record(FrKind::kApiError, op, info);
+void fr_api_error(const char* op, int32_t info) {
+  if (!flight_enabled()) return;
+  record(EventKind::kApiError, op, info);
   if (info == static_cast<int32_t>(Info::kPanic))
     fr_auto_dump("GrB_PANIC returned");
 }
 
 std::string fr_text(uint64_t max_events) {
-  std::vector<DecodedEvent> events = snapshot_events(max_events);
   char line[192];
   std::string out;
   std::snprintf(line, sizeof line,
                 "  events=%llu capacity=%llu overwrites=%llu\n",
-                static_cast<unsigned long long>(fr_event_count()),
-                static_cast<unsigned long long>(fr_capacity()),
-                static_cast<unsigned long long>(fr_overwrites()));
+                static_cast<unsigned long long>(ring_events()),
+                static_cast<unsigned long long>(ring_capacity()),
+                static_cast<unsigned long long>(ring_overwrites()));
   out.append(line);
-  for (const DecodedEvent& e : events) {
+  for (const Event& e : flight_events(max_events)) {
     std::snprintf(line, sizeof line, "  #%-8llu %12llu  %06x  %-13s %s",
                   static_cast<unsigned long long>(e.seq),
-                  static_cast<unsigned long long>(e.ts), e.tid,
-                  kind_name(e.kind), e.op);
+                  static_cast<unsigned long long>(e.f.ts), e.tid,
+                  kKindNames[static_cast<int>(e.kind)], e.name);
     out.append(line);
-    if (e.ctx != 0 || e.flow != 0) {
-      std::snprintf(line, sizeof line, " ctx=%u", e.ctx);
-      out.append(line);
-      if (e.flow != 0) {
-        std::snprintf(line, sizeof line, " flow=%u", e.flow);
-        out.append(line);
-      }
-    }
+    if (e.f.ctx != 0 || flow_of(e) != 0)
+      out.append(" ctx=").append(std::to_string(e.f.ctx));
+    if (flow_of(e) != 0) out.append(" flow=").append(std::to_string(flow_of(e)));
     if (e.info < 0) {
       out.push_back(' ');
       out.append(info_name(static_cast<Info>(e.info)));
@@ -238,21 +107,22 @@ std::string fr_text(uint64_t max_events) {
 }
 
 std::string fr_trace_json() {
-  std::vector<DecodedEvent> events = snapshot_events(0);
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char line[256];
   bool first = true;
-  for (const DecodedEvent& e : events) {
+  for (const Event& e : flight_events(0)) {
     out.append(first ? "\n" : ",\n");
     first = false;
     std::snprintf(line, sizeof line,
                   "{\"name\":\"%s\",\"cat\":\"flight\",\"ph\":\"i\","
                   "\"s\":\"t\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
                   "\"args\":{\"kind\":\"%s\",\"seq\":%llu,\"info\":%d,"
-                  "\"ctx\":%u,\"flow\":%u}}",
-                  e.op, e.tid, e.ts / 1000.0, kind_name(e.kind),
-                  static_cast<unsigned long long>(e.seq), e.info, e.ctx,
-                  e.flow);
+                  "\"ctx\":%llu,\"flow\":%llu}}",
+                  e.name, e.tid, e.f.ts / 1000.0,
+                  kKindNames[static_cast<int>(e.kind)],
+                  static_cast<unsigned long long>(e.seq), e.info,
+                  static_cast<unsigned long long>(e.f.ctx),
+                  static_cast<unsigned long long>(flow_of(e)));
     out.append(line);
   }
   out.append("\n]}\n");
@@ -260,19 +130,14 @@ std::string fr_trace_json() {
 }
 
 bool fr_dump_file(const char* path) {
-  if (path == nullptr) {
-    std::string text = "flight recorder dump\n" + fr_text(0);
-    std::fputs(text.c_str(), stderr);
-    return true;
-  }
-  size_t n = std::strlen(path);
-  bool json = n > 5 && std::strcmp(path + n - 5, ".json") == 0;
-  std::string body =
+  const size_t n = path == nullptr ? 0 : std::strlen(path);
+  const bool json = n > 5 && std::strcmp(path + n - 5, ".json") == 0;
+  const std::string body =
       json ? fr_trace_json() : "flight recorder dump\n" + fr_text(0);
-  std::FILE* f = std::fopen(path, "w");
+  std::FILE* f = path == nullptr ? stderr : std::fopen(path, "w");
   if (f == nullptr) return false;
   std::fputs(body.c_str(), f);
-  return std::fclose(f) == 0;
+  return f == stderr || std::fclose(f) == 0;
 }
 
 void fr_auto_dump(const char* reason) {
@@ -294,14 +159,14 @@ void fr_auto_dump(const char* reason) {
   if (g_auto_dumps <= kAutoDumpStderrBudget) {
     // A wrapped ring means the dump below is missing the oldest events
     // — say so loudly, once per dump, with the fix spelled out.
-    if (fr_overwrites() >= fr_capacity()) {
+    const uint64_t lost = ring_overwrites(), cap = ring_capacity();
+    if (cap != 0 && lost >= cap) {
       std::fprintf(stderr,
                    "flight recorder: ring wrapped %llu times its capacity "
                    "(%llu events lost) -- the history below is truncated; "
                    "set GRB_FLIGHT_RECORDER=N to enlarge the ring\n",
-                   static_cast<unsigned long long>(
-                       fr_overwrites() / (fr_capacity() ? fr_capacity() : 1)),
-                   static_cast<unsigned long long>(fr_overwrites()));
+                   static_cast<unsigned long long>(lost / cap),
+                   static_cast<unsigned long long>(lost));
     }
     std::fputs(text.c_str(), stderr);
     if (g_auto_dumps == kAutoDumpStderrBudget) {

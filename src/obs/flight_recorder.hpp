@@ -3,18 +3,21 @@
 // The 2.0 error model makes failures temporally detached from their
 // cause: a method call validates, defers, and succeeds; the execution
 // error surfaces later, from whatever call happened to force completion.
-// The flight recorder closes that gap by keeping the causal op history
-// in a fixed-size lock-free ring buffer — every C API entry point, every
-// deferred method execution, and every error transition — at a cost of
-// one relaxed fetch_add plus a handful of relaxed stores per event.
+// The flight recorder closes that gap with the flight kinds of the
+// event ring (obs/event_ring.hpp) — every C API entry point, every
+// deferred method execution, every error transition and every
+// decision-audit record — at a cost of one clock read, one relaxed
+// fetch_add and a handful of relaxed stores per event.
 //
 // Sizing: 4096 events by default; GRB_FLIGHT_RECORDER=N resizes (rounded
-// up to a power of two), GRB_FLIGHT_RECORDER=0 disables.  When the ring
-// wraps, the oldest events are overwritten and the overwrite count is
-// surfaced via "flight.overwrites" in GxB_Stats_json.
+// up to a power of two), GRB_FLIGHT_RECORDER=0 turns the flight kinds
+// off.  The flight views show at most the newest N flight events.  When
+// the ring wraps, the oldest events are overwritten; "flight.events",
+// "flight.overwrites" and "flight.capacity" in GxB_Stats_json describe
+// the shared ring.
 //
 // Dumps: whenever an object is poisoned or an entry point returns
-// GrB_PANIC, the recorder renders the tail of the ring as annotated text
+// GrB_PANIC, the recorder renders the flight tail as annotated text
 // (stderr, throttled after the first few) and — when GRB_FLIGHT_DUMP
 // names a path — as Chrome trace-event JSON.  GxB_FlightRecorder_dump
 // writes on demand (".json" suffix selects the trace form).
@@ -23,46 +26,23 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/event_ring.hpp"
+
 namespace grb {
 namespace obs {
 
-enum class FrKind : uint8_t {
-  kApiEnter = 0,   // a GrB_*/GxB_* entry point was invoked
-  kApiError = 1,   // an entry point returned an execution error
-  kDeferredExec = 2,  // a deferred method ran during complete()
-  kPoison = 3,     // an object recorded its first deferred error
-  kFusionPlan = 4,  // the fusion planner selected chains / dead writes
-  kFusionExec = 5,  // a fused group ran (info = node count)
-  kEnqueue = 6,    // a method was deferred onto an object's queue
-  kWatchdog = 7,   // the stall watchdog tripped (info = stalled ms)
-  kDecision = 8,   // an adaptive cost-model branch chose a strategy
-};
-
-// Ring sizing / lifecycle.  fr_resize(0) disables recording (and clears
-// the kFlightFlag gate); any other capacity rounds up to a power of two
-// and (re)enables.  Old rings are retired, never freed, so in-flight
-// lock-free writers can not touch freed memory.
+// Sizes the flight reservation of the event ring.  0 turns the flight
+// kinds off (and clears the kFlightFlag gate); any other capacity rounds
+// up to a power of two and (re)enables them.
 void fr_resize(uint64_t capacity);
-uint64_t fr_capacity();
-uint64_t fr_event_count();  // total events ever recorded (monotonic)
-uint64_t fr_overwrites();   // events lost to ring wrap
 
-// Records one event.  `op` must have static storage duration (entry
-// point literals); `info` is the GrB_Info value for error kinds.
-// `ctx` is the obs context id of the tenant the event belongs to and
-// `flow` the enqueue→exec flow id (both truncated to 32 bits in the
-// ring; 0 = unattributed), so post-mortem dumps answer "whose op" and
-// "which enqueue produced this execution".
-void fr_record(FrKind kind, const char* op, int32_t info, uint64_t ctx = 0,
-               uint64_t flow = 0);
+// C API veneer hook for an entry point that returned an execution
+// error (`info` < 0): records an api-error event and auto-dumps on
+// GrB_PANIC.
+void fr_api_error(const char* op, int32_t info);
 
-// C API veneer hook for an entry point's return value: records an
-// api-error event for execution errors and auto-dumps on GrB_PANIC.
-// No-op for nonnegative `info`.
-void fr_api_result(const char* op, int32_t info);
-
-// Renders the newest `max_events` buffered events (0 = everything still
-// in the ring) as annotated text, oldest first.
+// Renders the newest `max_events` flight events (0 = the whole flight
+// window) as annotated text, oldest first.
 std::string fr_text(uint64_t max_events);
 
 // The same events as Chrome trace-event JSON instant events.

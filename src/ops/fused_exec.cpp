@@ -272,8 +272,8 @@ Info run_fused_vector_group(Vector* w, std::vector<Deferred>& batch,
     // span, scalar count — only the data passes fuse.
     obs::CurrentOpScope op_scope(d.op, d.ctx_id);
     if (obs::flight_enabled())
-      obs::fr_record(obs::FrKind::kDeferredExec, d.op, 0, d.ctx_id,
-                     d.flow_id);
+      obs::record(obs::EventKind::kDeferredExec, d.op, 0,
+                  {.ctx = d.ctx_id, .a = d.flow_id});
     uint64_t t0 = obs::telemetry_enabled() ? obs::now_ns() : 0;
     obs::flow_step(d.op, d.flow_id);
     const FuseNode& nd = d.node;
@@ -313,8 +313,8 @@ Info run_fused_matrix_group(Matrix* c, std::vector<Deferred>& batch,
     Deferred& d = batch[k];
     obs::CurrentOpScope op_scope(d.op, d.ctx_id);
     if (obs::flight_enabled())
-      obs::fr_record(obs::FrKind::kDeferredExec, d.op, 0, d.ctx_id,
-                     d.flow_id);
+      obs::record(obs::EventKind::kDeferredExec, d.op, 0,
+                  {.ctx = d.ctx_id, .a = d.flow_id});
     uint64_t t0 = obs::telemetry_enabled() ? obs::now_ns() : 0;
     obs::flow_step(d.op, d.flow_id);
     const FuseNode& nd = d.node;

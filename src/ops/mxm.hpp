@@ -4,6 +4,7 @@
 // accumulators and the adaptive engine live in ops/spgemm.hpp.
 #pragma once
 
+#include <cmath>
 #include <type_traits>
 
 #include "ops/common.hpp"
@@ -64,15 +65,34 @@ class SemiringRunner {
   BinRunner add_;
 };
 
+// The typed functors compute exactly what the builtin binary ops of
+// core/binary_op.cpp do, so a semiring's answer does not depend on
+// whether it takes a typed runner: integer Plus/Times wrap through the
+// unsigned type (signed overflow would be UB), floating Min/Max are
+// fmin/fmax (a NaN operand yields the other operand).
 namespace semiring_ops {
 
 template <class T>
 struct Times {
-  T operator()(T a, T b) const { return static_cast<T>(a * b); }
+  T operator()(T a, T b) const {
+    if constexpr (std::is_integral_v<T>) {
+      using U = std::make_unsigned_t<T>;
+      return static_cast<T>(static_cast<U>(a) * static_cast<U>(b));
+    } else {
+      return a * b;
+    }
+  }
 };
 template <class T>
 struct Plus {
-  T operator()(T a, T b) const { return static_cast<T>(a + b); }
+  T operator()(T a, T b) const {
+    if constexpr (std::is_integral_v<T>) {
+      using U = std::make_unsigned_t<T>;
+      return static_cast<T>(static_cast<U>(a) + static_cast<U>(b));
+    } else {
+      return a + b;
+    }
+  }
 };
 template <class T>
 struct Second {
@@ -88,11 +108,17 @@ struct Land {
 };
 template <class T>
 struct Min {
-  T operator()(T a, T b) const { return a < b ? a : b; }
+  T operator()(T a, T b) const {
+    if constexpr (std::is_floating_point_v<T>) return std::fmin(a, b);
+    else return a < b ? a : b;
+  }
 };
 template <class T>
 struct Max {
-  T operator()(T a, T b) const { return a > b ? a : b; }
+  T operator()(T a, T b) const {
+    if constexpr (std::is_floating_point_v<T>) return std::fmax(a, b);
+    else return a > b ? a : b;
+  }
 };
 template <class T>
 struct Lor {

@@ -7,6 +7,43 @@
 
 namespace {
 
+void put_varint(std::vector<uint8_t>* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out->push_back(static_cast<uint8_t>(v | 0x80));
+  out->push_back(static_cast<uint8_t>(v));
+}
+
+// A hand-built payload that passes the checksum: the 14-byte header
+// (magic, kind, type code, type size) of the real serialization `real`,
+// then `dims` as u64s, then `body`, then the FNV-1a sum over all of it.
+// Only the structural checks can reject it.
+std::vector<char> forge(const std::vector<char>& real,
+                        std::initializer_list<uint64_t> dims,
+                        const std::vector<uint8_t>& body) {
+  std::vector<char> out(real.begin(), real.begin() + 14);
+  for (uint64_t d : dims) {
+    const char* p = reinterpret_cast<const char*>(&d);
+    out.insert(out.end(), p, p + 8);
+  }
+  out.insert(out.end(), body.begin(), body.end());
+  uint64_t h = 1469598103934665603ull;
+  for (char c : out) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  const char* p = reinterpret_cast<const char*>(&h);
+  out.insert(out.end(), p, p + 8);
+  return out;
+}
+
+// Index bytes (varints) followed by `nvals` FP64 values.
+std::vector<uint8_t> entries(std::initializer_list<uint64_t> varints,
+                             size_t nvals) {
+  std::vector<uint8_t> body;
+  for (uint64_t v : varints) put_varint(&body, v);
+  body.resize(body.size() + nvals * sizeof(double), 0);
+  return body;
+}
+
 TEST(SerializeTest, MatrixRoundTrip) {
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     ref::Mat rm = testutil::random_mat(19, 27, 0.25, seed);
@@ -159,6 +196,45 @@ TEST(SerializeTest, CorruptionIsDetected) {
   GrB_Index vwritten = vsize;
   ASSERT_EQ(GrB_Vector_serialize(vbuf.data(), &vwritten, v), GrB_SUCCESS);
   EXPECT_EQ(GrB_Matrix_deserialize(&back, GrB_NULL, vbuf.data(), vwritten),
+            GrB_INVALID_OBJECT);
+
+  // Re-signed structural mutations of a 2x4 matrix: row 0 holds columns
+  // {1, 2} (length 2, deltas 1 and 1), row 1 is empty.
+  const auto mat = [&](std::initializer_list<uint64_t> dims,
+                       const std::vector<uint8_t>& body) {
+    std::vector<char> bytes = forge(buf, dims, body);
+    GrB_Matrix m = nullptr;
+    GrB_Info info =
+        GrB_Matrix_deserialize(&m, GrB_NULL, bytes.data(), bytes.size());
+    GrB_free(&m);
+    return info;
+  };
+  EXPECT_EQ(mat({2, 4, 2}, entries({2, 1, 1, 0}, 2)), GrB_SUCCESS);
+  // A zero delta after the first index repeats column 1.
+  EXPECT_EQ(mat({2, 4, 2}, entries({2, 1, 0, 0}, 2)), GrB_INVALID_OBJECT);
+  // A delta of 2^64 - 1 wraps column 1 back to 0.
+  EXPECT_EQ(mat({2, 4, 2}, entries({2, 1, ~0ull, 0}, 2)),
+            GrB_INVALID_OBJECT);
+  // Headers that claim more rows or entries than the bytes can hold.
+  EXPECT_EQ(mat({2, 4, uint64_t{1} << 60}, entries({0, 0}, 0)),
+            GrB_INVALID_OBJECT);
+  EXPECT_EQ(mat({uint64_t{1} << 60, 4, 0}, entries({}, 0)),
+            GrB_INVALID_OBJECT);
+
+  // The same for a 4-vector holding indices {1, 3}.
+  const auto vec = [&](std::initializer_list<uint64_t> dims,
+                       const std::vector<uint8_t>& body) {
+    std::vector<char> bytes = forge(vbuf, dims, body);
+    GrB_Vector w = nullptr;
+    GrB_Info info =
+        GrB_Vector_deserialize(&w, GrB_NULL, bytes.data(), bytes.size());
+    GrB_free(&w);
+    return info;
+  };
+  EXPECT_EQ(vec({4, 2}, entries({1, 2}, 2)), GrB_SUCCESS);
+  EXPECT_EQ(vec({4, 2}, entries({1, 0}, 2)), GrB_INVALID_OBJECT);
+  EXPECT_EQ(vec({4, 2}, entries({1, ~0ull}, 2)), GrB_INVALID_OBJECT);
+  EXPECT_EQ(vec({uint64_t{1} << 60, uint64_t{1} << 59}, entries({}, 0)),
             GrB_INVALID_OBJECT);
   GrB_free(&a);
   GrB_free(&v);

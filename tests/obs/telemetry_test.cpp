@@ -734,12 +734,12 @@ TEST_F(ObsTest, FormatCountersExactForKnownSequence) {
 TEST_F(ObsTest, FlightRecorderLogsFusionInCausalOrder) {
   FusionGuard fusion_on(true);
   GrB_Vector w = ones_vector(8);
-  uint64_t before = grb::obs::fr_event_count();
+  uint64_t before = grb::obs::ring_events();
   for (int i = 0; i < 3; ++i)
     ASSERT_EQ(GrB_apply(w, GrB_NULL, GrB_NULL, GrB_AINV_FP64, w, GrB_NULL),
               GrB_SUCCESS);
   ASSERT_EQ(GrB_wait(w, GrB_MATERIALIZE), GrB_SUCCESS);
-  EXPECT_GT(grb::obs::fr_event_count(), before);
+  EXPECT_GT(grb::obs::ring_events(), before);
 
   std::string text = grb::obs::fr_text(0);
   size_t plan = text.rfind("fusion-plan");

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "tests/grb_test_util.hpp"
 
@@ -157,15 +159,89 @@ TEST(MxmTest, TransposedInputs) {
   GrB_free(&c);
 }
 
-// FP64 `F` as a user-defined binary function: an op built from it has no
-// opcode, so mxm runs it through the function-pointer runner.
-template <double (*F)(double, double)>
+// `F` as a user-defined binary function on T: an op built from it has
+// no opcode, so mxm runs it through the function-pointer runner.
+template <class T, T (*F)(T, T)>
 void user_fn(void* z, const void* x, const void* y) {
-  double a, b;
+  T a, b;
   std::memcpy(&a, x, sizeof a);
   std::memcpy(&b, y, sizeof b);
-  double r = F(a, b);
+  T r = F(a, b);
   std::memcpy(z, &r, sizeof r);
+}
+
+// What the builtin GrB_MIN_FP64 / GrB_PLUS_INT32 / GrB_TIMES_INT32 ops
+// compute: fmin, and integer arithmetic that wraps.
+double fmin_fp64(double a, double b) { return std::fmin(a, b); }
+int32_t wrap_plus(int32_t a, int32_t b) {
+  return static_cast<int32_t>(static_cast<uint32_t>(a) +
+                              static_cast<uint32_t>(b));
+}
+int32_t wrap_times(int32_t a, int32_t b) {
+  return static_cast<int32_t>(static_cast<uint32_t>(a) *
+                              static_cast<uint32_t>(b));
+}
+
+// nrows x ncols matrix of type T from (row, col, value) triples.
+template <class T>
+GrB_Matrix typed_matrix(GrB_Type type, GrB_Index nrows, GrB_Index ncols,
+                        const std::vector<GrB_Index>& rows,
+                        const std::vector<GrB_Index>& cols,
+                        const std::vector<T>& vals) {
+  GrB_Matrix m = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&m, type, nrows, ncols), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_build(m, rows.data(), cols.data(), vals.data(),
+                             vals.size(), GrB_NULL),
+            GrB_SUCCESS);
+  return m;
+}
+
+// C = A*B under `builtin` (typed runner) and under the same semiring
+// built from user-defined ops (function-pointer runner): the tuples must
+// be bitwise equal.
+template <class T>
+void expect_runners_agree(GrB_Semiring builtin, GrB_Type type,
+                          GrB_binary_function add_fn, T identity,
+                          GrB_binary_function mul_fn, GrB_Matrix a,
+                          GrB_Matrix b) {
+  GrB_BinaryOp add_op = nullptr, mul_op = nullptr;
+  GrB_Monoid add = nullptr;
+  GrB_Semiring user = nullptr;
+  ASSERT_EQ(GrB_BinaryOp_new(&add_op, add_fn, type, type, type), GrB_SUCCESS);
+  ASSERT_EQ(GrB_BinaryOp_new(&mul_op, mul_fn, type, type, type), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Monoid_new(&add, add_op, identity), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Semiring_new(&user, add, mul_op), GrB_SUCCESS);
+  GrB_Index nrows = 0, ncols = 0;
+  ASSERT_EQ(GrB_Matrix_nrows(&nrows, a), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_ncols(&ncols, b), GrB_SUCCESS);
+  std::vector<T> got[2];
+  std::vector<GrB_Index> idx[2][2];
+  const GrB_Semiring semirings[2] = {builtin, user};
+  for (int k = 0; k < 2; ++k) {
+    GrB_Matrix c = nullptr;
+    ASSERT_EQ(GrB_Matrix_new(&c, type, nrows, ncols), GrB_SUCCESS);
+    ASSERT_EQ(GrB_mxm(c, GrB_NULL, GrB_NULL, semirings[k], a, b, GrB_NULL),
+              GrB_SUCCESS);
+    GrB_Index nv = 0;
+    ASSERT_EQ(GrB_Matrix_nvals(&nv, c), GrB_SUCCESS);
+    EXPECT_GT(nv, 0u);
+    got[k].resize(nv);
+    idx[k][0].resize(nv);
+    idx[k][1].resize(nv);
+    ASSERT_EQ(GrB_Matrix_extractTuples(idx[k][0].data(), idx[k][1].data(),
+                                       got[k].data(), &nv, c),
+              GrB_SUCCESS);
+    GrB_free(&c);
+  }
+  EXPECT_EQ(idx[0][0], idx[1][0]);
+  EXPECT_EQ(idx[0][1], idx[1][1]);
+  ASSERT_EQ(got[0].size(), got[1].size());
+  EXPECT_EQ(std::memcmp(got[0].data(), got[1].data(), got[0].size() * sizeof(T)),
+            0);
+  GrB_free(&user);
+  GrB_free(&add);
+  GrB_free(&add_op);
+  GrB_free(&mul_op);
 }
 
 TEST(MxmTest, FastpathMatchesGenericPath) {
@@ -179,53 +255,48 @@ TEST(MxmTest, FastpathMatchesGenericPath) {
     GrB_binary_function mul_fn;
   };
   const Case cases[] = {
-      {GrB_PLUS_TIMES_SEMIRING_FP64, &user_fn<fn_plus>, 0.0,
-       &user_fn<fn_times>},
-      {GrB_MIN_PLUS_SEMIRING_FP64, &user_fn<fn_min>, INFINITY,
-       &user_fn<fn_plus>},
-      {GrB_MAX_PLUS_SEMIRING_FP64, &user_fn<testutil::fn_max>, -INFINITY,
-       &user_fn<fn_plus>},
-      {GrB_MIN_SECOND_SEMIRING_FP64, &user_fn<fn_min>, INFINITY,
-       &user_fn<fn_second>},
+      {GrB_PLUS_TIMES_SEMIRING_FP64, &user_fn<double, fn_plus>, 0.0,
+       &user_fn<double, fn_times>},
+      {GrB_MIN_PLUS_SEMIRING_FP64, &user_fn<double, fn_min>, INFINITY,
+       &user_fn<double, fn_plus>},
+      {GrB_MAX_PLUS_SEMIRING_FP64, &user_fn<double, testutil::fn_max>,
+       -INFINITY, &user_fn<double, fn_plus>},
+      {GrB_MIN_SECOND_SEMIRING_FP64, &user_fn<double, fn_min>, INFINITY,
+       &user_fn<double, fn_second>},
   };
   ref::Mat ra = testutil::random_mat(20, 20, 0.3, 30);
   ref::Mat rb = testutil::random_mat(20, 20, 0.3, 31);
   GrB_Matrix a = testutil::make_matrix(ra);
   GrB_Matrix b = testutil::make_matrix(rb);
-  for (const Case& tc : cases) {
-    GrB_BinaryOp add_op = nullptr, mul_op = nullptr;
-    GrB_Monoid add = nullptr;
-    GrB_Semiring user = nullptr;
-    ASSERT_EQ(GrB_BinaryOp_new(&add_op, tc.add_fn, GrB_FP64, GrB_FP64,
-                               GrB_FP64),
-              GrB_SUCCESS);
-    ASSERT_EQ(GrB_BinaryOp_new(&mul_op, tc.mul_fn, GrB_FP64, GrB_FP64,
-                               GrB_FP64),
-              GrB_SUCCESS);
-    ASSERT_EQ(GrB_Monoid_new(&add, add_op, tc.identity), GrB_SUCCESS);
-    ASSERT_EQ(GrB_Semiring_new(&user, add, mul_op), GrB_SUCCESS);
-    GrB_Matrix c_fast = nullptr, c_slow = nullptr;
-    ASSERT_EQ(GrB_Matrix_new(&c_fast, GrB_FP64, 20, 20), GrB_SUCCESS);
-    ASSERT_EQ(GrB_Matrix_new(&c_slow, GrB_FP64, 20, 20), GrB_SUCCESS);
-    ASSERT_EQ(
-        GrB_mxm(c_fast, GrB_NULL, GrB_NULL, tc.builtin, a, b, GrB_NULL),
-        GrB_SUCCESS);
-    ASSERT_EQ(GrB_wait(c_fast, GrB_COMPLETE), GrB_SUCCESS);
-    ASSERT_EQ(GrB_mxm(c_slow, GrB_NULL, GrB_NULL, user, a, b, GrB_NULL),
-              GrB_SUCCESS);
-    ASSERT_EQ(GrB_wait(c_slow, GrB_COMPLETE), GrB_SUCCESS);
-    ref::Mat fast = testutil::to_ref(c_fast);
-    EXPECT_GT(fast.nvals(), 0u);
-    EXPECT_TRUE(testutil::mats_equal(fast, testutil::to_ref(c_slow)));
-    GrB_free(&c_fast);
-    GrB_free(&c_slow);
-    GrB_free(&user);
-    GrB_free(&add);
-    GrB_free(&add_op);
-    GrB_free(&mul_op);
-  }
+  for (const Case& tc : cases)
+    expect_runners_agree(tc.builtin, GrB_FP64, tc.add_fn, tc.identity,
+                         tc.mul_fn, a, b);
   GrB_free(&a);
   GrB_free(&b);
+
+  // MIN_PLUS over A = [1, NaN], B = [1; 1]: the builtin MIN is fmin, so
+  // min(1 + 1, NaN + 1) is 2 on both runners.
+  GrB_Matrix nan_a = typed_matrix<double>(GrB_FP64, 1, 2, {0, 0}, {0, 1},
+                                          {1.0, NAN});
+  GrB_Matrix ones = typed_matrix<double>(GrB_FP64, 2, 1, {0, 1}, {0, 0},
+                                         {1.0, 1.0});
+  expect_runners_agree(GrB_MIN_PLUS_SEMIRING_FP64, GrB_FP64,
+                       &user_fn<double, fmin_fp64>, INFINITY,
+                       &user_fn<double, fn_plus>, nan_a, ones);
+  GrB_free(&nan_a);
+  GrB_free(&ones);
+
+  // PLUS_TIMES_INT32 whose products and sum overflow: both runners wrap.
+  const int32_t big = std::numeric_limits<int32_t>::max();
+  GrB_Matrix big_a = typed_matrix<int32_t>(GrB_INT32, 1, 2, {0, 0}, {0, 1},
+                                           {big, big});
+  GrB_Matrix twos = typed_matrix<int32_t>(GrB_INT32, 2, 1, {0, 1}, {0, 0},
+                                          {2, 3});
+  expect_runners_agree(GrB_PLUS_TIMES_SEMIRING_INT32, GrB_INT32,
+                       &user_fn<int32_t, wrap_plus>, int32_t{0},
+                       &user_fn<int32_t, wrap_times>, big_a, twos);
+  GrB_free(&big_a);
+  GrB_free(&twos);
 }
 
 TEST(MxmTest, IntTypedSemiring) {
